@@ -10,11 +10,19 @@ drives N short flows with arrivals interleaved with completions over
   than one node's flows per event (O(touched) vs the reference
   engine's O(F) advance + O(F×C) refill per change), and
 * **shared** constraint sets — everything crosses one fabric core, a
-  single contention component, bounding the engine's worst case.
+  single contention component, bounding the engine's worst case, and
+* a **mesh** — 32 nodes moving data to their next four ring
+  neighbours, each flow crossing four constraints (source egress,
+  fabric core, destination ingress, per-pair connection cap): the
+  bulk-transfer shape of Figs. 6/7, one large component whose
+  constraints are as many as its flows (``shared`` is a 2-constraint
+  hub).
 
 Wall time and ``Simulator.event_count`` are recorded per engine so the
 speedup of the incremental engine over :class:`ReferenceFlowScheduler`
-is tracked release over release.
+is tracked release over release.  At the 1k size the incremental
+engine's work counters are also pinned exactly: an optimisation of the
+fill must do the same allocations, the same number of times.
 
 Set ``FLOW_BENCH_QUICK=1`` (the CI quick mode) to bench the incremental
 engine at the 1k size only.
@@ -30,11 +38,26 @@ from repro.sim import (CapacityConstraint, FlowScheduler,
                        ReferenceFlowScheduler, Simulator)
 
 N_NODES = 64
+MESH_NODES = 32
 QUICK = bool(os.environ.get("FLOW_BENCH_QUICK"))
 SIZES = [1000] if QUICK else [1000, 10000]
 ENGINES = {"incremental": FlowScheduler,
            "reference": ReferenceFlowScheduler}
 ENGINE_NAMES = ["incremental"] if QUICK else ["incremental", "reference"]
+# The mesh runs at 1k only: its arrivals outpace its drain, so at 10k
+# the backlog (not the component shape) is what would be measured.
+CASES = [(t, n) for t in ("disjoint", "shared") for n in SIZES] \
+    + [("mesh", 1000)]
+
+#: (event_count, alloc_count, flows_touched) of the incremental engine
+#: at 1000 flows, measured on commit f4c205d (PR 11, before the in-place
+#: fill).  Deterministic: any drift means the engine allocates at
+#: different instants or over different components than it did.
+PINNED_1K = {
+    "disjoint": (2920, 1000, 2000),
+    "shared": (3002, 1999, 20680),
+    "mesh": (2991, 1999, 879704),
+}
 
 
 def run_churn(engine_cls, n_flows: int, topology: str) -> dict:
@@ -50,6 +73,22 @@ def run_churn(engine_cls, n_flows: int, topology: str) -> dict:
     nodes = [(CapacityConstraint(f"n{i}:membus", 1000.0),
               CapacityConstraint(f"n{i}:dev", 300.0))
              for i in range(N_NODES)]
+    ports = [(CapacityConstraint(f"m{i}:egress", 1000.0),
+              CapacityConstraint(f"m{i}:ingress", 1000.0))
+             for i in range(MESH_NODES)]
+    conns = {}
+
+    def mesh_route(i: int):
+        src = i % MESH_NODES
+        dst = (src + 1 + (i // MESH_NODES) % 4) % MESH_NODES
+        conn = conns.get((src, dst))
+        if conn is None:
+            # 128 pairs x 36 B/s drain a little slower than the
+            # 4800 B/s of arrivals: ~220 flows per allocation at 1k,
+            # the component size of the bench's transfer_mesh.
+            conn = conns[src, dst] = CapacityConstraint(
+                f"conn:m{src}->m{dst}", 36.0)
+        return (ports[src][0], core, ports[dst][1], conn)
 
     def arrivals():
         for i in range(n_flows):
@@ -57,8 +96,10 @@ def run_churn(engine_cls, n_flows: int, topology: str) -> dict:
             size = 40.0 + 10.0 * (i % 13)
             if topology == "disjoint":
                 constraints = node          # membus + device, node-local
-            else:
+            elif topology == "shared":
                 constraints = (node[0], core)  # everything meets at core
+            else:
+                constraints = mesh_route(i)
             fs.transfer(size, constraints, label=f"t{i}")
             # Arrivals outpace service ~16x, so a few hundred flows
             # are in flight at steady state — replay-scale churn.
@@ -75,8 +116,7 @@ def run_churn(engine_cls, n_flows: int, topology: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("n_flows", SIZES)
-@pytest.mark.parametrize("topology", ["disjoint", "shared"])
+@pytest.mark.parametrize("topology,n_flows", CASES)
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
 def test_flow_churn_throughput(benchmark, engine, topology, n_flows):
     out = {}
@@ -87,6 +127,9 @@ def test_flow_churn_throughput(benchmark, engine, topology, n_flows):
 
     benchmark.pedantic(once, rounds=1, iterations=1)
     stats = out["stats"]
+    if engine == "incremental" and n_flows == 1000:
+        assert (stats["events"], stats["alloc_count"],
+                stats["flows_touched"]) == PINNED_1K[topology]
     per_run = benchmark.stats.stats.mean
     benchmark.extra_info["engine"] = engine
     benchmark.extra_info["topology"] = topology

@@ -301,7 +301,7 @@ class MercuryNetwork:
         self.fabric = fabric
         self.plugin = get_plugin(plugin) if isinstance(plugin, str) else plugin
         self._endpoints: Dict[str, MercuryEndpoint] = {}
-        self._connections: Dict[tuple[str, str], CapacityConstraint] = {}
+        self._connections: Dict[tuple, CapacityConstraint] = {}
 
     def endpoint(self, node: str, progress_threads: int = 1) -> MercuryEndpoint:
         """Create (or fetch) the endpoint for ``node``."""
@@ -325,9 +325,12 @@ class MercuryNetwork:
         """Per-(src,dst) stream constraint implementing the protocol cap.
 
         Created lazily on first use; unlimited plugins get an effectively
-        infinite constraint so the key space stays uniform.
+        infinite constraint so the key space stays uniform.  The cap is
+        part of the key: a pull and a push over the same ordered pair
+        (Fig. 6 vs Fig. 7 caps), or an explicit ``rate_cap=`` override,
+        each get the cap they asked for, not the first caller's.
         """
-        key = (src, dst)
+        key = (src, dst, cap)
         conn = self._connections.get(key)
         if conn is None:
             capacity = cap if cap is not None else 1e18

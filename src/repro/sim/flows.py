@@ -26,18 +26,20 @@ saturation (Figs. 6–7) and device aggregation (Fig. 8).
 Component partitioning
 ----------------------
 Two flows influence each other's rates only if they are connected in
-the flow↔constraint bipartite graph.  :class:`FlowScheduler` therefore
-maintains the graph's **connected components** (merge on attach,
-rebuild-on-detach) and, on any membership change, advances and
-reallocates *only the touched component*: per-component ``last_update``
-stamps mean untouched components are never scanned, and per-component
-completion deadlines feed a single lazily-cancelled ``flow:wake``
-timeout (see :class:`~repro.sim.core.TimeoutHandle`).  The cost of a
-flow start/finish/cancel is proportional to the size of the affected
-contention domain — O(touched) — instead of O(flows × constraints)
-across the whole cluster.  Single-flow components (the overwhelmingly
-common case for node-local NVM/DCPMM transfers) take a closed-form
-shortcut that skips progressive filling entirely.
+the flow↔constraint bipartite graph, so :class:`FlowScheduler` advances
+and reallocates *only the component a change touches* — O(touched), not
+O(flows × constraints) across the cluster.
+
+*Persistent* between calls: component membership (merge on attach,
+rebuild on detach), each constraint's fid-ordered member set, a
+per-component ``last_update`` stamp and completion deadline; the
+deadlines feed one lazily-cancelled ``flow:wake`` timeout (see
+:class:`~repro.sim.core.TimeoutHandle`).  *Per-call scratch* of the
+progressive fill is slots on those same objects, not containers: the
+fill walks the adjacency in place, builds no index, and writes
+``Flow.rate`` directly.  ``CapacityConstraint.load`` is derived from
+member rates on read.  Single-flow components (node-local NVM/DCPMM
+transfers, the common case) take a closed form and skip the fill.
 
 :class:`ReferenceFlowScheduler` retains the original global algorithm —
 advance every flow, re-run progressive filling over the full flow set
@@ -64,22 +66,24 @@ _EPS = 1e-9
 class CapacityConstraint:
     """A shared medium with a fixed capacity in bytes/second.
 
-    ``load`` is maintained incrementally by the scheduler whenever the
-    rates of the flows crossing this constraint change, so reading it
-    (e.g. for monitor sampling) is O(1) and never scans flows.
+    ``load`` is derived on read from the member flows' current rates;
+    the engine keeps no per-constraint running sum.  ``_used``,
+    ``_live_w`` and ``_live_n`` are scratch of the progressive fill:
+    :meth:`FlowScheduler._fill` sets them before it reads them.
     """
 
-    __slots__ = ("name", "capacity", "_flows", "_load", "_component")
+    __slots__ = ("name", "capacity", "_flows", "_component",
+                 "_used", "_live_w", "_live_n")
 
     def __init__(self, name: str, capacity: float) -> None:
         if capacity <= 0:
             raise SimError(f"constraint {name!r} needs positive capacity")
         self.name = name
         self.capacity = float(capacity)
-        # Insertion-ordered member set (dict keys) — deterministic
-        # iteration keeps component rebuilds reproducible run-to-run.
+        # Insertion-ordered member set (dict keys).  A fid is drawn
+        # immediately before its flow attaches, so insertion order is
+        # fid order: the fill and ``load`` sum members in that order.
         self._flows: Dict["Flow", None] = {}
-        self._load = 0.0
         self._component: Optional["_Component"] = None
 
     @property
@@ -89,7 +93,7 @@ class CapacityConstraint:
     @property
     def load(self) -> float:
         """Sum of current flow rates through this constraint (bytes/s)."""
-        return self._load
+        return sum([f.rate for f in self._flows], 0.0)
 
     @property
     def utilization(self) -> float:
@@ -97,7 +101,7 @@ class CapacityConstraint:
         # (drained links): an idle dead link is 0% utilized, not NaN.
         if self.capacity <= 0:
             return 0.0
-        return self._load / self.capacity
+        return self.load / self.capacity
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CapacityConstraint {self.name} {self.capacity:.3g}B/s n={len(self._flows)}>"
@@ -114,7 +118,8 @@ class Flow:
 
     __slots__ = ("fid", "size", "remaining", "constraints", "rate_cap",
                  "rate", "done", "started_at", "finished_at", "label",
-                 "weight", "_component")
+                 "weight", "_component", "_done_eps",
+                 "_frozen")     # scratch of FlowScheduler._fill
 
     def __init__(self, fid: int, size: float,
                  constraints: Sequence[CapacityConstraint],
@@ -139,6 +144,9 @@ class Flow:
         #: bottleneck — the fluid collapse of "w parallel streams".
         self.weight = float(weight)
         self._component: Optional["_Component"] = None
+        #: The flow counts as finished once ``remaining`` is within
+        #: this band of zero (relative to its size, at least 1 byte).
+        self._done_eps = _EPS * max(1.0, self.size)
 
     @property
     def elapsed(self) -> Optional[float]:
@@ -192,11 +200,10 @@ class FlowScheduler:
     advances and reallocates only the connected component of the
     flow↔constraint graph that the change touches.  Single-flow
     components resolve to a closed-form rate; multi-flow components run
-    weighted progressive filling over the component's members only,
-    with live-weight sums maintained on freeze.  One lazily-cancelled
-    wake timeout serves the earliest completion deadline across all
-    components, so a change that does not move the earliest deadline
-    leaves the event calendar untouched.
+    weighted progressive filling in place (:meth:`_fill`).  One
+    lazily-cancelled wake timeout serves the earliest completion
+    deadline across all components, so a change that does not move the
+    earliest deadline leaves the event calendar untouched.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -422,7 +429,6 @@ class FlowScheduler:
         for c in flow.constraints:
             c._flows.pop(flow, None)
             if not c._flows:
-                c._load = 0.0
                 c._component = None
                 if comp is not None:
                     comp.constraints.pop(c, None)
@@ -498,7 +504,7 @@ class FlowScheduler:
         self.flows_touched += len(comp.flows)
         for f in comp.flows:
             f.remaining -= f.rate * dt
-            if f.remaining <= _EPS * max(1.0, f.size):
+            if f.remaining <= f._done_eps:
                 f.remaining = 0.0
                 finished.append(f)
 
@@ -556,8 +562,8 @@ class FlowScheduler:
 
     # -- allocation ------------------------------------------------------
     def _allocate(self, comp: _Component) -> None:
-        """Recompute rates, loads and the completion deadline of one
-        component (which must already be advanced to now)."""
+        """Recompute rates and the completion deadline of one component
+        (which must already be advanced to now)."""
         if not comp.flows:  # pragma: no cover - defensive
             comp.alive = False
             self._comps.pop(comp, None)
@@ -584,25 +590,17 @@ class FlowScheduler:
                     delta = d
             rate = math.inf if math.isinf(delta) else delta * w
             f.rate = rate
-            for c in f.constraints:
-                c._load = rate
             if rate > 0:
                 next_done = f.remaining / rate
         else:
-            members = sorted(comp.flows, key=lambda f: f.fid)
-            self.flows_touched += len(members)
-            rates = self._component_rates(members)
-            loads: Dict[CapacityConstraint, float] = {}
-            for f, r in zip(members, rates):
-                f.rate = r
+            self.flows_touched += len(comp.flows)
+            self._fill(comp)
+            for f in comp.flows:
+                r = f.rate
                 if r > 0:
                     nd = f.remaining / r
                     if nd < next_done:
                         next_done = nd
-                for c in f.constraints:
-                    loads[c] = loads.get(c, 0.0) + r
-            for c, v in loads.items():
-                c._load = v
         comp.deadline = now + next_done if not math.isinf(next_done) else math.inf
         comp.ver += 1
         if not math.isinf(comp.deadline):
@@ -619,101 +617,110 @@ class FlowScheduler:
             heapq.heapify(self._deadlines)
 
     @staticmethod
-    def _component_rates(flows: Sequence[Flow]) -> List[float]:
-        """Weighted progressive filling over one component's members.
+    def _fill(comp: _Component) -> None:
+        """Weighted progressive filling, in place on one component.
 
         Same fill semantics as the reference :meth:`_max_min_rates`,
-        restricted to the component: the constraint→members index is
-        built once and reused across rounds, and per-constraint live
-        weights are decremented as flows freeze instead of being
-        re-summed every round.
+        walked over the component's constraints and their fid-ordered
+        member sets, writing ``Flow.rate`` directly.  Round state lives
+        in scratch slots: per constraint the bandwidth used, and the
+        weight sum and exact count of unfrozen members (decremented as
+        flows freeze, not re-summed every round).
         """
-        n = len(flows)
-        rates = [0.0] * n
-        frozen = [False] * n
-        weights = [f.weight for f in flows]
-        cons: Dict[CapacityConstraint, List[int]] = {}
-        for i, f in enumerate(flows):
-            for c in f.constraints:
-                cons.setdefault(c, []).append(i)
-        used = {}
-        live_w = {}   # sum of unfrozen member weights (decremented)
-        live_n = {}   # exact count of unfrozen members (gates live_w)
-        for c, members in cons.items():
-            used[c] = 0.0
-            s = 0.0
-            for i in members:
-                s += weights[i]
-            live_w[c] = s
-            live_n[c] = len(members)
-        capped = [i for i, f in enumerate(flows) if f.rate_cap is not None]
-        active = list(range(n))
-        # Each round freezes at least one flow, so <= n rounds.
-        for _round in range(n + 1):
-            if not active:
-                break
+        flows = comp.flows
+        cons = comp.constraints
+        for c in cons:
+            n = len(c._flows)
+            c._used = 0.0
+            c._live_n = n
+            c._live_w = float(n)    # exact while every weight is 1.0
+        # Uncapped weight-1 flows all rise by the same additions: they
+        # share ``level`` and take it as their rate when they freeze.
+        # Only the others accumulate a rate of their own per round.
+        own = []
+        for f in flows:
+            f._frozen = False
+            if f.weight != 1.0:
+                for c in f.constraints:
+                    c._live_w = 0.0     # summed exactly in round one
+            elif f.rate_cap is None:
+                continue
+            f.rate = 0.0
+            own.append(f)
+        level = 0.0
+        left = len(flows)
+        # Each round freezes at least one flow (or stops).
+        while left:
             # delta is the uniform increment of the *normalized* rate
             # (rate/weight) of all unfrozen flows.
             delta = math.inf
-            for c, members in cons.items():
-                if live_n[c] <= 0:
+            for c in cons:
+                if c._live_n <= 0:
                     continue
-                lw = live_w[c]
+                lw = c._live_w
                 if lw <= 0.0:
-                    # Catastrophic cancellation in the decrements;
-                    # re-derive the exact sum (rare).
+                    # Catastrophic cancellation in the decrements (or
+                    # a weighted member, first round): re-derive the
+                    # exact sum in member order.
                     lw = 0.0
-                    for i in members:
-                        if not frozen[i]:
-                            lw += weights[i]
-                    live_w[c] = lw
+                    for f in c._flows:
+                        if not f._frozen:
+                            lw += f.weight
+                    c._live_w = lw
                     if lw <= 0.0:
                         continue
-                d = (c.capacity - used[c]) / lw
+                d = (c.capacity - c._used) / lw
                 if d < delta:
                     delta = d
-            for i in capped:
-                if not frozen[i]:
-                    d = (flows[i].rate_cap - rates[i]) / weights[i]
+            for f in own:
+                if f.rate_cap is not None:
+                    d = (f.rate_cap - f.rate) / f.weight
                     if d < delta:
                         delta = d
-            if math.isinf(delta):
+            if delta == math.inf:
                 # No constraint and no cap limits the rest: unbounded.
-                for i in active:
-                    rates[i] = math.inf
-                    frozen[i] = True
+                level = math.inf
                 break
             if delta < 0.0:
                 delta = 0.0
-            for i in active:
-                rates[i] += delta * weights[i]
-            for c, lw in live_w.items():
-                if live_n[c] > 0 and lw > 0:
-                    used[c] += delta * lw
+            level += delta
             # Freeze flows limited by a saturated constraint or their cap.
-            froze: List[int] = []
-            for c, members in cons.items():
-                if live_n[c] > 0 and \
-                        c.capacity - used[c] <= _EPS * c.capacity:
-                    for i in members:
-                        if not frozen[i]:
-                            frozen[i] = True
-                            froze.append(i)
-            for i in capped:
-                f = flows[i]
-                if (not frozen[i]
-                        and rates[i] >= f.rate_cap - _EPS * f.rate_cap):
-                    frozen[i] = True
-                    froze.append(i)
+            froze = []
+            for c in cons:
+                if c._live_n > 0:
+                    lw = c._live_w
+                    if lw > 0:
+                        c._used += delta * lw
+                    if c.capacity - c._used <= _EPS * c.capacity:
+                        for f in c._flows:
+                            if not f._frozen:
+                                f._frozen = True
+                                froze.append(f)
+            for f in own:
+                f.rate += delta * f.weight
+                cap = f.rate_cap
+                if cap is not None and not f._frozen \
+                        and f.rate >= cap - _EPS * cap:
+                    f._frozen = True
+                    froze.append(f)
             if not froze:
                 # Numerical guard: nothing progressed; stop here.
                 break
-            for i in froze:
-                for c in flows[i].constraints:
-                    live_w[c] -= weights[i]
-                    live_n[c] -= 1
-            active = [i for i in active if not frozen[i]]
-        return rates
+            for f in froze:
+                w = f.weight
+                if w == 1.0:
+                    f.rate = level
+                for c in f.constraints:
+                    c._live_w -= w
+                    c._live_n -= 1
+            left -= len(froze)
+            if own:
+                own = [f for f in own if not f._frozen]
+        if left:
+            # Stopped early: unbounded, or left where the guard stopped.
+            for f in flows:
+                if not f._frozen and (f.weight == 1.0 or level == math.inf):
+                    f.rate = level
 
     # -- wake management -------------------------------------------------
     def _schedule_wake(self) -> None:
@@ -907,8 +914,6 @@ class ReferenceFlowScheduler:
         self._flows.pop(flow, None)
         for c in flow.constraints:
             c._flows.pop(flow, None)
-            if not c._flows:
-                c._load = 0.0
 
     def _advance(self) -> None:
         """Progress every flow from the last update instant to now."""
@@ -941,16 +946,11 @@ class ReferenceFlowScheduler:
         if not flows:
             return
         rates = FlowScheduler._max_min_rates(flows)
-        loads: Dict[CapacityConstraint, float] = {}
         next_done = math.inf
         for f, r in zip(flows, rates):
             f.rate = r
             if r > 0:
                 next_done = min(next_done, f.remaining / r)
-            for c in f.constraints:
-                loads[c] = loads.get(c, 0.0) + r
-        for c, v in loads.items():
-            c._load = v
         if math.isinf(next_done):
             return  # everything stalled (zero rates) — wait for a change
         epoch = self._epoch

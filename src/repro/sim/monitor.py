@@ -104,9 +104,9 @@ class Monitor:
 
     def sample_utilization(self, constraint) -> None:
         """Sample a :class:`~repro.sim.flows.CapacityConstraint` onto
-        the ``util:<name>`` series.  The flow engine maintains each
-        constraint's load incrementally, so this is O(1) per sample and
-        never scans the active flow set."""
+        the ``util:<name>`` series.  The load is summed over the
+        constraint's own member flows on read — O(members) per sample,
+        never a scan of the global flow set."""
         self.series(f"util:{constraint.name}").record(
             self.sim.now, constraint.utilization)
 

@@ -16,10 +16,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import SimError
 from repro.sim import (CapacityConstraint, FlowScheduler,
                        ReferenceFlowScheduler, Simulator)
+from repro.sim.flows import Flow, _Component
 
 
 # -- workload generation ----------------------------------------------------
@@ -137,26 +138,179 @@ class TestEngineParity:
         assert_traces_match(inc, ref)
 
     def test_allocator_matches_reference_rates(self):
-        # The component-local fill (incremental live weights) must agree
-        # with the retained reference _max_min_rates on a connected set.
+        # The in-place fill (incremental live weights, shared level for
+        # weight-1 flows) must agree with the retained reference
+        # _max_min_rates on a connected set: exactly for integer-valued
+        # weights, to 1e-9 for fractional ones.
         rng = random.Random(7)
-        for _ in range(50):
-            sim = Simulator()
-            shared = CapacityConstraint("s", rng.uniform(50, 500))
-            locals_ = [CapacityConstraint(f"l{i}", rng.uniform(20, 400))
-                       for i in range(4)]
-            flows = []
-            for i in range(rng.randint(2, 10)):
-                cs = [shared, locals_[rng.randrange(4)]]
-                cap = rng.uniform(10, 200) if rng.random() < 0.3 else None
-                from repro.sim.flows import Flow
-                flows.append(Flow(i + 1, 100.0, cs, cap, sim.event(), 0.0,
-                                  weight=rng.choice([0.5, 1.0, 2.0])))
-                for c in cs:
-                    c._flows[flows[-1]] = None
-            got = FlowScheduler._component_rates(flows)
-            want = FlowScheduler._max_min_rates(flows)
-            assert got == pytest.approx(want, rel=1e-9)
+        for weights in [(1.0, 2.0, 3.0), (0.5, 1.0, 2.0), (0.3, 1.0, 1.7)]:
+            for _ in range(50):
+                caps = [rng.uniform(50, 500)] + \
+                    [rng.uniform(20, 400) for _ in range(4)]
+                specs = [([0, 1 + rng.randrange(4)],
+                          rng.uniform(10, 200) if rng.random() < 0.3
+                          else None,
+                          rng.choice(weights))
+                         for _ in range(rng.randint(2, 10))]
+                assert_fill_matches_oracle(caps, specs)
+
+
+# -- the in-place fill against the oracle -------------------------------------
+
+def fill_in_place(caps, specs):
+    """Run ``FlowScheduler._fill`` on a hand-built component.
+
+    ``specs`` is ``(constraint indices, rate_cap, weight)`` per flow, in
+    fid order.  Returns ``(constraints, flows)`` with ``rate`` filled.
+    """
+    sim = Simulator()
+    constraints = [CapacityConstraint(f"c{i}", cap)
+                   for i, cap in enumerate(caps)]
+    comp = _Component(1, 0.0)
+    for fid, (idxs, rate_cap, weight) in enumerate(specs, start=1):
+        f = Flow(fid, 100.0, [constraints[j] for j in idxs], rate_cap,
+                 sim.event(), 0.0, weight=weight)
+        f.rate = -1.0   # stale; the fill must overwrite it
+        comp.flows[f] = None
+        for c in f.constraints:
+            c._flows[f] = None
+            comp.constraints[c] = None
+    FlowScheduler._fill(comp)
+    return constraints, list(comp.flows)
+
+
+def assert_fill_matches_oracle(caps, specs):
+    """Rates equal the oracle's — exactly when every weight is
+    integer-valued (live-weight sums and decrements are then exact),
+    to 1e-9 otherwise — and carry the max-min certificate."""
+    constraints, flows = fill_in_place(caps, specs)
+    got = [f.rate for f in flows]
+    want = FlowScheduler._max_min_rates(flows)
+    if all(f.weight.is_integer() for f in flows):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-9)
+    saturated = set()
+    for c in constraints:
+        assert c.load <= c.capacity * (1 + 1e-9)
+        if c.load >= c.capacity * (1 - 1e-8):
+            saturated.add(c)
+    for f in flows:
+        # Every flow is held back by something: a saturated medium it
+        # crosses or its own cap (or nothing limits it at all).
+        at_cap = f.rate_cap is not None \
+            and f.rate >= f.rate_cap * (1 - 1e-8)
+        assert at_cap or saturated.intersection(f.constraints) \
+            or (math.isinf(f.rate) and f.rate_cap is None)
+
+
+@st.composite
+def bipartite_cases(draw, weights):
+    n_cons = draw(st.integers(1, 12))
+    caps = [draw(st.floats(1.0, 1000.0)) for _ in range(n_cons)]
+    specs = []
+    for _ in range(draw(st.integers(1, 40))):
+        idxs = draw(st.sets(st.integers(0, n_cons - 1), max_size=4))
+        rate_cap = draw(st.one_of(st.none(), st.floats(0.5, 500.0)))
+        specs.append((sorted(idxs), rate_cap, draw(weights)))
+    return caps, specs
+
+
+class TestFillProperties:
+    @given(bipartite_cases(st.sampled_from([1.0, 2.0, 3.0])))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_weights_match_oracle_exactly(self, case):
+        assert_fill_matches_oracle(*case)
+
+    @given(bipartite_cases(st.floats(0.1, 10.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_float_weights_match_oracle_to_1e9(self, case):
+        assert_fill_matches_oracle(*case)
+
+
+# -- what the fill relies on ------------------------------------------------
+
+class CheckedScheduler(FlowScheduler):
+    """Asserts the adjacency invariants after every reallocation."""
+
+    def __init__(self, sim, constraints):
+        super().__init__(sim)
+        self.watched = constraints
+        self.checks = 0
+        self.merges = 0
+        self.splits = 0
+
+    def _allocate(self, comp):
+        super()._allocate(comp)
+        self.checks += 1
+        for c in self.watched:
+            fids = [f.fid for f in c._flows]
+            assert fids == sorted(set(fids)), f"{c.name}: {fids}"
+            assert c.load == sum(f.rate for f in c._flows)
+            if not c._flows:
+                assert c.load == 0.0 and c.utilization == 0.0
+        for c in comp.constraints:
+            assert c.load <= c.capacity * (1 + 1e-9)
+
+    def _attach(self, flow):
+        before = self.component_count
+        comp = super()._attach(flow)
+        self.merges += self.component_count < before
+        return comp
+
+    def _rebuild(self, comp):
+        parts = super()._rebuild(comp)
+        self.splits += len(parts) > 1
+        return parts
+
+
+class TestFillInvariants:
+    def test_members_stay_fid_ordered_and_load_is_derived(self):
+        runs = [self.drive(seed) for seed in range(6)]
+        # The sweep as a whole must have exercised both graph changes.
+        assert sum(fs.merges for fs in runs) > 0
+        assert sum(fs.splits for fs in runs) > 0
+
+    @staticmethod
+    def drive(seed):
+        # Few backbone flows: groups keep merging through one and
+        # splitting apart again when it leaves.
+        caps, flows = make_workload(seed + 300, n_flows=60,
+                                    shared_frac=0.1, cancel_frac=0.25)
+        sim = Simulator()
+        constraints = [CapacityConstraint(name, cap) for name, cap in caps]
+        fs = CheckedScheduler(sim, constraints)
+        rng = random.Random(seed)
+
+        def starter(spec):
+            start, size, idxs, rate_cap, weight, cancel_after = spec
+            yield sim.timeout(start)
+            done = fs.transfer(size, [constraints[j] for j in idxs],
+                               rate_cap=rate_cap, weight=weight)
+            done.add_callback(lambda ev: None)
+            if cancel_after is not None:
+                yield sim.timeout(cancel_after)
+                if not done.triggered:
+                    fs.cancel(done)
+
+        def degrader():
+            # Fault-style capacity changes on busy and idle media alike.
+            for _ in range(40):
+                yield sim.timeout(rng.uniform(0.2, 1.5))
+                c = rng.choice(constraints)
+                fs.set_capacity(c, c.capacity * rng.choice([0.25, 0.5, 2.0]))
+
+        for spec in flows:
+            sim.process(starter(spec))
+        sim.process(degrader())
+        sim.run()
+        assert fs.active == 0 and fs.checks > len(flows)
+        for c in constraints:
+            assert c.load == 0.0
+            # A drained link (capacity mutated to zero) reads 0%, not NaN.
+            c.capacity = 0.0
+            assert c.utilization == 0.0
+        return fs
 
 
 # -- determinism ------------------------------------------------------------

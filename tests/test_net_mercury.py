@@ -225,6 +225,32 @@ class TestBulk:
         elapsed = sim.run(sim.process(run()))
         assert elapsed == pytest.approx(1.0, rel=1e-3)
 
+    def test_connection_cap_is_per_caller_not_first_caller(self, sim, net):
+        # A pull into beta and a push out of alpha travel the same
+        # ordered pair alpha->beta with different protocol caps, and an
+        # explicit rate_cap= overrides both: none may inherit the cap
+        # of whoever used the pair first.
+        alpha = net.endpoint("alpha")
+        beta = net.endpoint("beta")
+
+        def run():
+            laps = []
+            for start in (
+                    lambda: beta.bulk_pull("alpha", 1.70 * GiB),
+                    lambda: alpha.bulk_push("beta", 1.82 * GiB),
+                    lambda: beta.bulk_pull("alpha", 0.5 * GiB,
+                                           rate_cap=0.5 * GiB),
+                    lambda: beta.bulk_pull("alpha", 1.70 * GiB)):
+                t0 = sim.now
+                yield start()
+                laps.append(sim.now - t0)
+            return laps
+
+        laps = sim.run(sim.process(run()))
+        assert laps == pytest.approx([1.0] * 4, rel=1e-3)
+        assert net.connection("alpha", "beta", 0.5 * GiB).capacity \
+            == 0.5 * GiB
+
     def test_endpoint_requires_fabric_node(self, net):
         with pytest.raises(AddressLookupError):
             net.endpoint("not-on-fabric")
