@@ -127,7 +127,7 @@ class SchedulingPolicy(abc.ABC):
         for end, nodes in events:
             avail.update(nodes)
             if len(avail) >= job.spec.nodes:
-                return end, set(list(sorted(avail))[:job.spec.nodes])
+                return end, set(sorted(avail)[:job.spec.nodes])
         # Never enough nodes: reserve everything far in the future.
         horizon = max((e[0] for e in events), default=now) \
             + job.spec.time_limit

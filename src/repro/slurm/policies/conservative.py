@@ -18,6 +18,7 @@ its first promised start, at the cost of fewer backfill opportunities.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List
 
 from repro.slurm.policies.base import (
@@ -37,82 +38,83 @@ class ConservativeBackfillPolicy(SchedulingPolicy):
     def __init__(self, max_reservations: int = 8) -> None:
         #: Reservation-depth cap, as in production conservative
         #: implementations: beyond it, further blocked jobs simply wait
-        #: (bounding pass cost at O(eligible × depth)).
+        #: (and, once the cap is hit with no free node left, the pass
+        #: stops — see :meth:`schedule`).
         self.max_reservations = max_reservations
 
     def schedule(self, state, now: float) -> List[ScheduleDecision]:
         free = state.free.copy()
         decisions: List[ScheduleDecision] = []
-        #: (start, nodes, holder_time_limit) per blocked job, priority
-        #: order; the limit feeds the synthetic release event later
+        # Promise state, carried through the pass and refreshed only
+        # when a reservation is made or a placement takes nodes — a
+        # candidate that does neither costs a length test and a bisect.
+        ordered = free.sorted()     # working free nodes, name order
+        deadline: dict = {}         # promised node -> earliest start
+        safe = ordered              # free nodes nobody was promised
+        borrow: List[float] = []    # sorted deadlines of the other free
+        #: (start + holder's time limit, nodes) per blocked job, in
+        #: priority order: the synthetic release events later
         #: reservations stack behind.
-        reservations: List[tuple[float, frozenset, float]] = []
+        releases: List[tuple] = []
         events = None   # completion timeline, lazily built once
 
         for job in state.eligible(now):
-            if self.fits(job, free):
-                placed = self._try_place(job, now, free, reservations,
-                                         state.selector, decisions,
-                                         backfilled=bool(reservations))
-                if placed:
-                    continue
-            # Blocked (or placement would break a promise): reserve.
-            if len(reservations) >= self.max_reservations:
+            spec = job.spec
+            # A job may start on unpromised nodes, or borrow promised
+            # ones it vacates (``end``) before their earliest promise;
+            # ``deadline.get(n, end) >= end`` is true of both kinds.
+            end = now + spec.time_limit
+            pool = None
+            if spec.nodelist:
+                if all(n in free and deadline.get(n, end) >= end
+                       for n in spec.nodelist):
+                    pool = ordered      # pick() takes the nodelist as is
+            elif spec.nodes <= len(safe):
+                pool = safe
+            elif spec.nodes <= len(ordered) - bisect_left(borrow, end):
+                pool = [n for n in ordered if deadline.get(n, end) >= end]
+            if pool is not None:
+                nodes = self.pick(job, pool, state.selector)
+                free.discard_many(nodes)
+                decisions.append(ScheduleDecision(
+                    job, tuple(nodes), backfilled=bool(releases)))
+                ordered = free.sorted()
+            elif len(releases) < self.max_reservations:
+                # Blocked (or placement would break a promise): reserve.
+                if events is None:
+                    # Drained/down nodes never come back on their own,
+                    # so they must not underwrite a start-time promise.
+                    events = self.completion_events(
+                        now, state.running_jobs(), exclude=state.unavailable)
+                # Nodes promised to earlier reservations are consumed
+                # the moment their running job releases them, so (a)
+                # drop them from this shadow's starting set (``safe``)
+                # and completion events, and (b) hand them back via a
+                # synthetic release event when the promised job's time
+                # limit expires.  (Overlapping promises can still
+                # release optimistically early; an early reservation
+                # start only makes backfill *stricter*, so no promised
+                # job is ever delayed by the approximation.)
+                timeline = []
+                for t, held in events:
+                    keep = [n for n in held if n not in deadline]
+                    if keep:
+                        timeline.append((t, keep))
+                timeline += releases
+                timeline.sort(key=lambda e: e[0])
+                start, reserved = self.shadow(job, now, safe, timeline)
+                reserved = tuple(sorted(reserved))
+                releases.append((start + spec.time_limit, reserved))
+                for n in reserved:
+                    deadline[n] = min(start, deadline.get(n, start))
+            elif ordered:
                 continue
-            if events is None:
-                # Drained/down nodes never come back on their own, so
-                # they must not underwrite a start-time promise.
-                events = self.completion_events(now, state.running_jobs(),
-                                                exclude=state.unavailable)
-            # Nodes promised to earlier reservations are consumed the
-            # moment their running job releases them, so (a) drop them
-            # from this shadow's starting set and completion events,
-            # and (b) hand them back via a synthetic release event when
-            # the promised job's time limit expires.  (Overlapping
-            # promises can still release optimistically early; an
-            # early reservation start only makes backfill *stricter*,
-            # so no promised job is ever delayed by the approximation.)
-            promised = set()
-            for _t, nodes, _limit in reservations:
-                promised |= nodes
-            base = [n for n in free.sorted() if n not in promised]
-            timeline = []
-            for end, nodes in events:
-                keep = tuple(n for n in nodes if n not in promised)
-                if keep:
-                    timeline.append((end, keep))
-            for start, nodes, limit in reservations:
-                timeline.append((start + limit, tuple(sorted(nodes))))
-            timeline.sort(key=lambda e: e[0])
-            start, nodes = self.shadow(job, now, base, timeline)
-            reservations.append((start, frozenset(nodes),
-                                 job.spec.time_limit))
+            else:
+                # Blocked, the reservation depth used up and no free
+                # node left: every later job is in the same position (a
+                # job needs >= 1 node, pinned or not), so the rest of
+                # the queue cannot change the outcome.
+                break
+            safe = [n for n in ordered if n not in deadline]
+            borrow = sorted(deadline[n] for n in ordered if n in deadline)
         return decisions
-
-    def _try_place(self, job, now, free, reservations, selector,
-                   decisions, backfilled: bool) -> bool:
-        """Start ``job`` now if that delays no existing reservation."""
-        ordered = free.sorted()
-        promised = set()
-        for _t, nodes, _limit in reservations:
-            promised |= nodes
-        safe = [n for n in ordered if n not in promised]
-        if self.fits(job, safe):
-            nodes = self.pick(job, safe, selector)
-        else:
-            # May borrow reserved nodes it vacates before their promise.
-            end = now + job.spec.time_limit
-            usable = [n for n in ordered
-                      if all(end <= start
-                             for start, rnodes, _limit in reservations
-                             if n in rnodes)]
-            if not self.fits(job, usable):
-                return False
-            nodes = self.pick(job, usable, selector)
-        # (Pinned jobs need no extra promise re-check: fits() already
-        # required the whole nodelist inside safe/usable, both of which
-        # encode the no-delayed-reservation condition.)
-        free.discard_many(nodes)
-        decisions.append(ScheduleDecision(job, tuple(nodes),
-                                          backfilled=backfilled))
-        return True

@@ -181,18 +181,23 @@ class SchedulerState:
         about the scheduler.
         """
         out: List[Job] = []
-        stale: List[int] = []
-        for i, (_key, job) in enumerate(self._pending):
-            if job.state != JobState.PENDING:
-                stale.append(i)
+        stale: List[Job] = []
+        # Only workflow jobs have dependencies or data hints to look at.
+        workflows = self.workflows
+        for _key, job in self._pending:
+            if job.state is not JobState.PENDING:
+                stale.append(job)
                 continue
-            if not self._runnable(job):
-                continue
-            self._refresh_hints(job)
+            if workflows is not None and job.workflow_id is not None:
+                if not self._runnable(job):
+                    continue
+                self._refresh_hints(job)
             out.append(job)
-        for i in reversed(stale):
-            entry = self._pending.pop(i)
-            self._keys.pop(entry[1].job_id, None)
+        if stale:
+            for job in stale:
+                self._keys.pop(job.job_id, None)
+            self._pending = [e for e in self._pending
+                             if e[1].state is JobState.PENDING]
         return out
 
     def running_jobs(self) -> List[Job]:
@@ -217,9 +222,8 @@ class SchedulerState:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    # Both helpers are for workflow jobs only; eligible() filters.
     def _runnable(self, job: Job) -> bool:
-        if self.workflows is None or job.workflow_id is None:
-            return True
         return self.workflows.workflow(job.workflow_id) \
             .is_runnable(job.job_id)
 
@@ -230,8 +234,7 @@ class SchedulerState:
         producers have completed by then, so their allocations are
         final.
         """
-        if self.workflows is None or job.workflow_id is None \
-                or job.job_id in self._hinted:
+        if job.job_id in self._hinted:
             return
         wf = self.workflows.workflow(job.workflow_id)
         hints: list[str] = []

@@ -143,6 +143,22 @@ class TestPendingQueue:
         assert [j.spec.name for j in state.eligible(0.0)] == ["a"]
         assert state.pending_count == 1
 
+    def test_pruning_drops_every_stale_entry_and_its_key(self):
+        state = make_state()
+        jobs = [job(f"j{i}") for i in range(7)]
+        for j in jobs:
+            state.enqueue(j)
+        gone = (jobs[0], jobs[3], jobs[4], jobs[6])     # ends, neighbours
+        for j in gone:
+            j.set_state(JobState.CANCELLED)
+        kept = [jobs[1], jobs[2], jobs[5]]
+        assert state.eligible(0.0) == kept
+        assert state.pending_count == 3
+        # The keys went with the entries (nothing leaks per cancel).
+        assert set(state._keys) == {j.job_id for j in kept}
+        state.dequeue(jobs[2])          # the survivors still index
+        assert state.eligible(2.0) == [jobs[1], jobs[5]]
+
     def test_hints_computed_once_from_producers(self):
         wm = WorkflowManager()
         first = job("first", submit=0.0, workflow_start=True)
