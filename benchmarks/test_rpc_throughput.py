@@ -21,6 +21,12 @@ frames):
 * **remote RPS** — fig5-style polls through Mercury ``norns.submit``
   (progress loop, RPC service time, dispatch).
 
+The two RPS scenarios are event-deterministic, so their work counters
+at the quick sizes are pinned exactly (``PINNED_QUICK``): a request-path
+optimisation has to leave every calendar event where it was.  A fourth
+record, **construct+validate churn**, times the two methods every
+request runs on every message class of the protocol.
+
 Set ``RPC_BENCH_QUICK=1`` (the CI quick mode) for trimmed sizes; CI
 publishes the results as the ``BENCH_rpc.json`` artifact.
 """
@@ -42,7 +48,7 @@ from repro.norns.resources import memory_region, posix_path
 from repro.norns.task import IOTask, TaskStats
 from repro.norns.urd import GID_NORNS_USER
 from repro.sim.primitives import all_of
-from repro.wire import make_frame, open_frame, set_wire_mode
+from repro.wire import make_frame, messages, open_frame, set_wire_mode
 from repro.wire import norns_proto as proto
 
 QUICK = bool(os.environ.get("RPC_BENCH_QUICK"))
@@ -108,12 +114,13 @@ def _local_cluster(n_procs: int):
     return handle, node
 
 
-def run_local_rps(n_procs: int, requests_per_proc: int) -> float:
+def run_local_rps(n_procs: int, requests_per_proc: int) -> dict:
     """fig4-style local churn: one submit, then status polls at volume.
 
     Every poll is a genuine roundtrip: wire frame over the user AF_UNIX
     channel, accept-thread service, dispatch, ``TaskStatusResponse``
-    back.  Returns requests/sec (wall clock).
+    back.  Returns requests/sec (wall clock) and the exact work
+    counters ``(sim.event_count, urd.requests_served)``.
     """
     handle, node = _local_cluster(n_procs)
     sim = handle.sim
@@ -133,15 +140,17 @@ def run_local_rps(n_procs: int, requests_per_proc: int) -> float:
     procs = [sim.process(client(50_000 + p)) for p in range(n_procs)]
     sim.run(all_of(sim, procs))
     elapsed = time.perf_counter() - t0
-    return n_procs * (requests_per_proc + 1) / elapsed
+    return {"rps": n_procs * (requests_per_proc + 1) / elapsed,
+            "counters": (sim.event_count, node.urd.requests_served)}
 
 
-def run_remote_rps(n_clients: int, requests_per_client: int) -> float:
+def run_remote_rps(n_clients: int, requests_per_client: int) -> dict:
     """fig5-style remote churn through Mercury ``norns.submit``.
 
     Each client node frames one administrative submit, then polls the
     task's status with per-request frames; every hop crosses the
-    progress loop and accept thread of the target urd."""
+    progress loop and accept thread of the target urd.  Returns
+    requests/sec and ``(sim.event_count, endpoint.rpcs_served)``."""
     handle = build(nextgenio(n_nodes=1 + n_clients, workers=8), seed=0)
     sim = handle.sim
     target = handle.node_names[0]
@@ -168,16 +177,56 @@ def run_remote_rps(n_clients: int, requests_per_client: int) -> float:
              for i, name in enumerate(handle.node_names[1:])]
     sim.run(all_of(sim, procs))
     elapsed = time.perf_counter() - t0
-    return n_clients * (requests_per_client + 1) / elapsed
+    return {"rps": n_clients * (requests_per_client + 1) / elapsed,
+            "counters": (sim.event_count,
+                         handle.network.endpoint(target).rpcs_served)}
+
+
+def _sample_values(cls) -> dict:
+    """A typical value for every field of ``cls``."""
+    def value(ftype):
+        if ftype.repeated:
+            return [value(ftype.inner), value(ftype.inner)]
+        if isinstance(ftype, messages._Submessage):
+            return ftype.msg_cls(**_sample_values(ftype.msg_cls))
+        if isinstance(ftype, messages._Enum) and ftype.allowed:
+            return min(ftype.allowed)
+        return {messages._Bool: True, messages._Double: 0.125,
+                messages._String: "/scratch/job91000/proc7/staged.dat",
+                }.get(type(ftype), 1 << 20)
+    return {f.name: value(f.ftype) for f in cls.fields}
+
+
+def run_construct_validate_churn(n_messages: int) -> dict:
+    """``cls(**values).validate()`` per second, per protocol class —
+    what a request pays before any frame or event exists."""
+    out = {}
+    for _mid, cls in sorted(proto.NORNS_PROTOCOL._by_id.items()):
+        values = _sample_values(cls)
+        t0 = time.perf_counter()
+        for _ in range(n_messages):
+            cls(**values).validate()
+        out[cls.__name__] = n_messages / (time.perf_counter() - t0)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # pytest-benchmark records (one per scenario x mode, for BENCH_rpc.json)
 # ---------------------------------------------------------------------------
 
+QUICK_LOCAL, QUICK_REMOTE = (2, 1_500), (2, 300)
 N_CHURN = 8_000 if QUICK else 40_000
-LOCAL = (2, 1_500) if QUICK else (4, 3_000)
-REMOTE = (2, 300) if QUICK else (4, 1_000)
+LOCAL = QUICK_LOCAL if QUICK else (4, 3_000)
+REMOTE = QUICK_REMOTE if QUICK else (4, 1_000)
+
+#: ``(sim.event_count, requests_served | rpcs_served)`` of the two RPS
+#: scenarios at their quick sizes, measured on commit 184644b — the
+#: same in both wire modes.  Any drift means a request schedules
+#: different events than it did.
+PINNED_QUICK = {
+    "local": (24139, 3008),
+    "remote": (7387, 602),
+}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -203,7 +252,7 @@ def test_local_rps(benchmark, mode):
 
     def once():
         with wire_mode(mode):
-            out["rps"] = run_local_rps(n_procs, per_proc)
+            out["rps"] = run_local_rps(n_procs, per_proc)["rps"]
         return out["rps"]
 
     benchmark.pedantic(once, rounds=1, iterations=1)
@@ -220,7 +269,7 @@ def test_remote_rps(benchmark, mode):
 
     def once():
         with wire_mode(mode):
-            out["rps"] = run_remote_rps(n_clients, per_client)
+            out["rps"] = run_remote_rps(n_clients, per_client)["rps"]
         return out["rps"]
 
     benchmark.pedantic(once, rounds=1, iterations=1)
@@ -228,6 +277,33 @@ def test_remote_rps(benchmark, mode):
     benchmark.extra_info["n_clients"] = n_clients
     benchmark.extra_info["requests_per_sec"] = out["rps"]
     print(f"\n  remote rps    | {mode:>5}: {out['rps']:10,.0f} req/s")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_work_counters_pinned(mode):
+    """Exact, machine-independent: the request path may get cheaper per
+    event, but not schedule, drop or add one."""
+    with wire_mode(mode):
+        assert run_local_rps(*QUICK_LOCAL)["counters"] \
+            == PINNED_QUICK["local"]
+        assert run_remote_rps(*QUICK_REMOTE)["counters"] \
+            == PINNED_QUICK["remote"]
+
+
+def test_construct_validate_churn(benchmark):
+    out = {}
+
+    def once():
+        out.update(run_construct_validate_churn(N_CHURN // 4))
+
+    benchmark.pedantic(once, rounds=1, iterations=1)
+    benchmark.extra_info["n_messages_per_class"] = N_CHURN // 4
+    for name, per_sec in out.items():     # flat: the trajectory fold
+        benchmark.extra_info[f"{name}_per_sec"] = per_sec  # keeps numbers
+    slowest = min(out, key=out.get)
+    print(f"\n  construct+validate: {len(out)} classes, slowest "
+          f"{slowest} {out[slowest]:,.0f}/s, fastest "
+          f"{max(out.values()):,.0f}/s")
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +332,12 @@ def test_fastpath_speedup_floors():
     churn_n = N_CHURN // 2
     wire_ratio = (_best_of(lambda: run_request_churn(churn_n), "fast")
                   / _best_of(lambda: run_request_churn(churn_n), "bytes"))
-    local_ratio = (_best_of(lambda: run_local_rps(2, 1_000), "fast")
-                   / _best_of(lambda: run_local_rps(2, 1_000), "bytes"))
-    remote_ratio = (_best_of(lambda: run_remote_rps(2, 250), "fast")
-                    / _best_of(lambda: run_remote_rps(2, 250), "bytes"))
+    local_ratio = (
+        _best_of(lambda: run_local_rps(2, 1_000)["rps"], "fast")
+        / _best_of(lambda: run_local_rps(2, 1_000)["rps"], "bytes"))
+    remote_ratio = (
+        _best_of(lambda: run_remote_rps(2, 250)["rps"], "fast")
+        / _best_of(lambda: run_remote_rps(2, 250)["rps"], "bytes"))
     print(f"\n  speedup fast/bytes: wire {wire_ratio:.2f}x, "
           f"local {local_ratio:.2f}x, remote {remote_ratio:.2f}x")
     assert wire_ratio >= 3.0, wire_ratio

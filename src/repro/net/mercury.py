@@ -70,7 +70,8 @@ class MercuryEndpoint:
         self.node = node
         self.sim = network.sim
         self.plugin = network.plugin
-        self._handlers: Dict[str, Callable] = {}
+        #: rpc name -> (handler, reply-event label, handler-process label)
+        self._handlers: Dict[str, tuple] = {}
         self._incoming: Store = Store(self.sim, name=f"hg:{node}:in")
         self._rpc_seq = itertools.count(1)
         self.rpcs_served = 0
@@ -95,7 +96,11 @@ class MercuryEndpoint:
         """
         if rpc in self._handlers:
             raise NetworkError(f"rpc {rpc!r} already registered on {self.node}")
-        self._handlers[rpc] = handler
+        # The two labels every call of this rpc carries (the caller's
+        # reply event, the handler process) are read only by ``repr``:
+        # format them here, once per endpoint x rpc, not per call.
+        self._handlers[rpc] = (handler, f"rpc:{rpc}@{self.node}",
+                               f"hg:{self.node}:{rpc}")
 
     @property
     def address(self) -> str:
@@ -119,12 +124,15 @@ class MercuryEndpoint:
         is *dropped*, not failed: like a real network, the caller only
         learns through its own timeout.
         """
-        reply = self.sim.event(name=f"rpc:{rpc}@{target}")
         try:
             tgt = self.network.lookup(target)
         except AddressLookupError as e:
+            reply = self.sim.event(name=f"rpc:{rpc}@{target}")
             reply.fail(e)
             return reply
+        registered = tgt._handlers.get(rpc)
+        reply = self.sim.event(name=registered[1] if registered is not None
+                               else f"rpc:{rpc}@{target}")
         t = self.sim.tracer
         sid = -1
         if t is not None:
@@ -206,15 +214,16 @@ class MercuryEndpoint:
             if key is not None and self._suppress_duplicate(key, origin,
                                                            reply):
                 continue
-            handler = self._handlers.get(rpc)
-            if handler is None:
+            registered = self._handlers.get(rpc)
+            if registered is None:
                 self._respond(origin, reply,
                               NetworkError(f"no handler for rpc {rpc!r} on {self.node}"),
                               ok=False)
                 continue
+            handler, _, label = registered
             self.sim.process(self._dispatch(handler, rpc, payload, origin,
                                             reply, key, ctx),
-                             name=f"hg:{self.node}:{rpc}")
+                             name=label)
 
     def _suppress_duplicate(self, key: str, origin: str,
                             reply: Event) -> bool:

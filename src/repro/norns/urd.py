@@ -59,6 +59,8 @@ __all__ = ["UrdConfig", "UrdDaemon", "UrdDirectory", "GID_NORNS",
 GID_NORNS = 500
 GID_NORNS_USER = 501
 
+_ADMIN_ON_USER_SOCKET = "administrative request on the user socket"
+
 #: Map NornsError subclasses to wire error codes.
 _ERROR_CODES = (
     (NornsDataspaceNotFound, proto.ERR_NOSUCHNSID),
@@ -178,6 +180,10 @@ class UrdDaemon:
         self._tasks: Dict[int, IOTask] = {}
         self._task_ids = itertools.count(1)
         self._accept_thread = Resource(sim, 1, name=f"urd:{self.node}:accept")
+        #: process labels of the serve path (read only by ``repr``),
+        #: formatted once per daemon rather than per connection/request.
+        self._conn_label = f"urd:{self.node}:conn"
+        self._parked_label = f"urd:{self.node}:parked"
         self.requests_served = 0
         self.tasks_completed = 0
         self.tasks_failed = 0
@@ -227,7 +233,7 @@ class UrdDaemon:
         while True:
             chan = yield listener.accept()
             self.sim.process(self._serve_connection(chan, is_control),
-                             name=f"urd:{self.node}:conn")
+                             name=self._conn_label)
 
     def _serve_connection(self, chan, is_control: bool):
         while True:
@@ -258,7 +264,7 @@ class UrdDaemon:
             if hasattr(response, "send"):  # parked handler (wait)
                 self.sim.process(
                     self._respond_later(chan, response, sid=sid),
-                    name=f"urd:{self.node}:parked")
+                    name=self._parked_label)
             else:
                 if sid >= 0:
                     self.sim.tracer.end(
@@ -277,78 +283,60 @@ class UrdDaemon:
     # Request dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, msg, is_control: bool):
-        try:
-            if isinstance(msg, proto.CommandRequest):
-                return self._handle_command(msg, is_control)
-            if isinstance(msg, proto.StatusRequest):
-                return self._status_response()
-            if isinstance(msg, proto.RegisterDataspaceRequest):
-                self._require_control(is_control)
-                return self._handle_register_dataspace(msg.dataspace,
-                                                       update=False)
-            if isinstance(msg, proto.UpdateDataspaceRequest):
-                self._require_control(is_control)
-                return self._handle_register_dataspace(msg.dataspace,
-                                                       update=True)
-            if isinstance(msg, proto.UnregisterDataspaceRequest):
-                self._require_control(is_control)
-                self.controller.unregister_dataspace(msg.nsid)
-                return proto.GenericResponse(error_code=proto.ERR_SUCCESS)
-            if isinstance(msg, proto.RegisterJobRequest):
-                self._require_control(is_control)
-                limits = msg.limits
-                self.controller.register_job(
-                    msg.job_id, msg.hosts,
-                    limits.nsids if limits else (),
-                    limits.quota_bytes if limits else 0)
-                return proto.GenericResponse(error_code=proto.ERR_SUCCESS)
-            if isinstance(msg, proto.UpdateJobRequest):
-                self._require_control(is_control)
-                limits = msg.limits
-                self.controller.update_job(
-                    msg.job_id, hosts=msg.hosts or None,
-                    nsids=limits.nsids if limits else None)
-                return proto.GenericResponse(error_code=proto.ERR_SUCCESS)
-            if isinstance(msg, proto.UnregisterJobRequest):
-                self._require_control(is_control)
-                self.controller.unregister_job(msg.job_id)
-                return proto.GenericResponse(error_code=proto.ERR_SUCCESS)
-            if isinstance(msg, proto.AddProcessRequest):
-                self._require_control(is_control)
-                self.controller.add_process(msg.job_id, msg.pid, msg.uid,
-                                            msg.gid)
-                return proto.GenericResponse(error_code=proto.ERR_SUCCESS)
-            if isinstance(msg, proto.RemoveProcessRequest):
-                self._require_control(is_control)
-                self.controller.remove_process(msg.job_id, msg.pid)
-                return proto.GenericResponse(error_code=proto.ERR_SUCCESS)
-            if isinstance(msg, proto.IotaskSubmitRequest):
-                return self._handle_submit(msg, is_control)
-            if isinstance(msg, proto.IotaskStatusRequest):
-                return self._handle_status(msg)
-            if isinstance(msg, proto.IotaskWaitRequest):
-                return self._handle_wait(msg)  # generator (parked)
-            if isinstance(msg, proto.GetDataspaceInfoRequest):
-                return self._handle_dataspace_info(msg)
+        # Framing hands over exactly the registered class, so the exact
+        # class is the key (a subclass is not a registered request).
+        entry = self._REQUEST_TABLE.get(msg.__class__)
+        if entry is None:
             return proto.GenericResponse(
                 error_code=proto.ERR_BADREQUEST,
                 detail=f"unsupported message {type(msg).__name__}")
+        handler, needs_control = entry
+        try:
+            if needs_control and not is_control:
+                raise NornsAccessDenied(_ADMIN_ON_USER_SOCKET)
+            return handler(self, msg, is_control)
         except NornsError as exc:
             return proto.GenericResponse(error_code=error_code_for(exc),
                                          detail=str(exc))
 
-    @staticmethod
-    def _require_control(is_control: bool) -> None:
-        if not is_control:
-            raise NornsAccessDenied(
-                "administrative request on the user socket")
+    def _handle_unregister_dataspace(self, msg, is_control: bool):
+        self.controller.unregister_dataspace(msg.nsid)
+        return proto.GenericResponse(error_code=proto.ERR_SUCCESS)
+
+    def _handle_register_job(self, msg, is_control: bool):
+        limits = msg.limits
+        self.controller.register_job(
+            msg.job_id, msg.hosts,
+            limits.nsids if limits else (),
+            limits.quota_bytes if limits else 0)
+        return proto.GenericResponse(error_code=proto.ERR_SUCCESS)
+
+    def _handle_update_job(self, msg, is_control: bool):
+        limits = msg.limits
+        self.controller.update_job(
+            msg.job_id, hosts=msg.hosts or None,
+            nsids=limits.nsids if limits else None)
+        return proto.GenericResponse(error_code=proto.ERR_SUCCESS)
+
+    def _handle_unregister_job(self, msg, is_control: bool):
+        self.controller.unregister_job(msg.job_id)
+        return proto.GenericResponse(error_code=proto.ERR_SUCCESS)
+
+    def _handle_add_process(self, msg, is_control: bool):
+        self.controller.add_process(msg.job_id, msg.pid, msg.uid, msg.gid)
+        return proto.GenericResponse(error_code=proto.ERR_SUCCESS)
+
+    def _handle_remove_process(self, msg, is_control: bool):
+        self.controller.remove_process(msg.job_id, msg.pid)
+        return proto.GenericResponse(error_code=proto.ERR_SUCCESS)
 
     def _handle_command(self, msg: proto.CommandRequest, is_control: bool):
         cmd = msg.command
         if cmd == "ping":
             return proto.GenericResponse(error_code=proto.ERR_SUCCESS,
                                          detail="pong")
-        self._require_control(is_control)
+        if not is_control:
+            raise NornsAccessDenied(_ADMIN_ON_USER_SOCKET)
         if cmd == "report-rates":
             # Observed per-route bandwidth feedback for the scheduler.
             detail = ";".join(
@@ -369,7 +357,8 @@ class UrdDaemon:
                                          detail=f"unknown command {cmd!r}")
         return proto.GenericResponse(error_code=proto.ERR_SUCCESS)
 
-    def _status_response(self) -> proto.DaemonStatusResponse:
+    def _handle_daemon_status(self, msg,
+                              is_control: bool) -> proto.DaemonStatusResponse:
         running = sum(1 for t in self._tasks.values()
                       if t.stats.status == TaskStatus.RUNNING)
         return proto.DaemonStatusResponse(
@@ -389,8 +378,13 @@ class UrdDaemon:
     def set_mount_table(self, table: Dict[str, object]) -> None:
         self._mount_table = dict(table)
 
-    def _handle_register_dataspace(self, desc: proto.DataspaceDesc,
-                                   update: bool):
+    def _handle_register_dataspace(self, msg, is_control: bool):
+        return self._install_dataspace(msg.dataspace, update=False)
+
+    def _handle_update_dataspace(self, msg, is_control: bool):
+        return self._install_dataspace(msg.dataspace, update=True)
+
+    def _install_dataspace(self, desc: proto.DataspaceDesc, update: bool):
         table = getattr(self, "_mount_table", {})
         backend = table.get(desc.mount)
         if backend is None:
@@ -498,14 +492,15 @@ class UrdDaemon:
             bytes_moved=task.stats.bytes_moved,
             eta_seconds=eta, elapsed_seconds=elapsed)
 
-    def _handle_status(self, msg: proto.IotaskStatusRequest):
+    def _handle_status(self, msg: proto.IotaskStatusRequest,
+                       is_control: bool):
         task = self._tasks.get(msg.task_id)
         if task is None:
             return proto.GenericResponse(error_code=proto.ERR_NOSUCHTASK,
                                          detail=f"task {msg.task_id}")
         return self._task_status_response(task)
 
-    def _handle_wait(self, msg: proto.IotaskWaitRequest):
+    def _handle_wait(self, msg: proto.IotaskWaitRequest, is_control: bool):
         """Parked handler: generator completing when the task does."""
         task = self._tasks.get(msg.task_id)
         if task is None:
@@ -542,7 +537,8 @@ class UrdDaemon:
 
         return park()
 
-    def _handle_dataspace_info(self, msg: proto.GetDataspaceInfoRequest):
+    def _handle_dataspace_info(self, msg: proto.GetDataspaceInfoRequest,
+                               is_control: bool):
         spaces = self.controller.visible_dataspaces(msg.pid)
         return proto.DataspaceInfoResponse(
             error_code=proto.ERR_SUCCESS,
@@ -550,6 +546,27 @@ class UrdDaemon:
                 nsid=ds.nsid, backend_kind=ds.backend_kind,
                 quota_bytes=ds.quota_bytes, track=ds.track)
                 for ds in spaces])
+
+    #: request class -> (handler, needs the control socket); handlers
+    #: are called as ``handler(self, msg, is_control)``.  A class that
+    #: is not a key (responses, ``RemoteFileRequest``, anything
+    #: unregistered) is answered ``ERR_BADREQUEST``.
+    _REQUEST_TABLE = {
+        proto.CommandRequest: (_handle_command, False),
+        proto.StatusRequest: (_handle_daemon_status, False),
+        proto.RegisterDataspaceRequest: (_handle_register_dataspace, True),
+        proto.UpdateDataspaceRequest: (_handle_update_dataspace, True),
+        proto.UnregisterDataspaceRequest: (_handle_unregister_dataspace, True),
+        proto.RegisterJobRequest: (_handle_register_job, True),
+        proto.UpdateJobRequest: (_handle_update_job, True),
+        proto.UnregisterJobRequest: (_handle_unregister_job, True),
+        proto.AddProcessRequest: (_handle_add_process, True),
+        proto.RemoveProcessRequest: (_handle_remove_process, True),
+        proto.IotaskSubmitRequest: (_handle_submit, False),
+        proto.IotaskStatusRequest: (_handle_status, False),
+        proto.IotaskWaitRequest: (_handle_wait, False),   # generator (parked)
+        proto.GetDataspaceInfoRequest: (_handle_dataspace_info, False),
+    }
 
     # ------------------------------------------------------------------
     # Workers

@@ -74,8 +74,8 @@ class WireFrame:
     Channels and Mercury treat payloads as opaque, so a frame can cross
     the simulated transport as-is; consumers that genuinely need raw
     bytes call :meth:`materialize` (memoized).  Construction runs the
-    compiled validation plan — a message ``encode_frame`` would reject
-    raises the identical ``WireEncodeError`` here — and ``len(frame)``
+    message's generated ``validate()`` — a message ``encode_frame``
+    would reject raises the identical error here — and ``len(frame)``
     computes the exact materialized length on demand from the compiled
     ``encoded_size`` plan, without building any bytes.
 
@@ -136,8 +136,10 @@ WirePayload = Union[bytes, "WireFrame"]
 def make_frame(registry: MessageRegistry, message: Message) -> WirePayload:
     """Mode-aware frame builder: bytes in fidelity mode, lazy otherwise.
 
-    Both modes validate the message fields here (fast mode through the
-    size plan), so invalid messages fail identically at the sender.
+    Both modes validate the message fields here (bytes mode by
+    encoding, fast mode through the class's generated ``validate()``,
+    which needs no sizes and no string encoding), so invalid messages
+    fail identically at the sender.
     The message must not be mutated after this call — see
     :class:`WireFrame`.
     """

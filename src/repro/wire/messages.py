@@ -21,7 +21,9 @@ Two codec paths exist per class:
   tag bytes, a shared ``struct.Struct`` for doubles and direct varint
   appends into a single ``bytearray``.  ``encode()``, ``decode()`` and
   the exact ``encoded_size()`` run on this path, and message instances
-  are ``__slots__``-only (no per-instance ``__dict__``);
+  are ``__slots__``-only (no per-instance ``__dict__``).  The two
+  methods every request runs, ``__init__`` and ``validate()``, are
+  generated per class as straight-line source over the same closures;
 * the **interpretive oracle** — the original per-field
   :class:`FieldType` virtual dispatch, retained as
   ``encode_oracle()``/``decode_oracle()``.  Parity tests assert the
@@ -30,6 +32,7 @@ Two codec paths exist per class:
 
 from __future__ import annotations
 
+import linecache
 import struct
 from typing import Any, Callable, Optional
 
@@ -163,6 +166,12 @@ class _Double(FieldType):
     def validate(self, value: Any) -> None:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise WireEncodeError(f"double field needs a number, got {value!r}")
+        if not isinstance(value, float):
+            try:    # an int can exceed the double range: fail typed, here
+                float(value)
+            except OverflowError:
+                raise WireEncodeError(f"double field int too large for a float"
+                                      f" ({value.bit_length()} bits)") from None
 
     def zero(self) -> float:
         return 0.0
@@ -472,30 +481,90 @@ def _compile_field(f: Field) -> tuple[Callable, Callable, Callable, Callable]:
     if not ft.repeated:
         return enc_one, size_one, dec_one, val_one
 
-    def enc_rep(out, items, _e=enc_one):
-        if not isinstance(items, (list, tuple)):
-            raise WireEncodeError(
-                f"repeated field needs list/tuple, got {items!r}")
+    # Like the oracle, a repeated field first checks the container and
+    # every item's type, then range-checks item by item, so a list with
+    # two bad items fails on the same one on every path.
+    check_all = ft.validate
+
+    def enc_rep(out, items, _check_all=check_all, _e=enc_one):
+        _check_all(items)
         for v in items:
             _e(out, v)
 
-    def size_rep(items, _s=size_one):
-        if not isinstance(items, (list, tuple)):
-            raise WireEncodeError(
-                f"repeated field needs list/tuple, got {items!r}")
+    def size_rep(items, _check_all=check_all, _s=size_one):
+        _check_all(items)
         n = 0
         for v in items:
             n += _s(v)
         return n
 
-    def val_rep(items, _v=val_one):
-        if not isinstance(items, (list, tuple)):
-            raise WireEncodeError(
-                f"repeated field needs list/tuple, got {items!r}")
+    def val_rep(items, _check_all=check_all, _v=val_one):
+        _check_all(items)
         for v in items:
             _v(v)
 
     return enc_rep, size_rep, dec_one, val_rep
+
+
+#: Per field type, an exact-type test on ``v`` that proves the field's
+#: checker would accept it.  Whatever the test does not cover (a
+#: subclass, a bool in an int field, a non-ASCII string, an int in a
+#: double field) goes to the compiled ``val_one``, which raises or not
+#: exactly as an encode would.
+_ACCEPT_TESTS = {
+    _Uint64: f"v.__class__ is int and 0 <= v <= {_U64_MASK}",
+    _Sint64: f"v.__class__ is int and {-(1 << 63)} <= v <= {(1 << 63) - 1}",
+    _Bool: "v is True or v is False",
+    _Double: "v.__class__ is float",
+    _String: "v.__class__ is str and v.isascii()",
+}
+
+
+def _generate_methods(cls: type, validators: dict[str, Callable]) -> None:
+    """Give ``cls`` its ``__init__(**field_values)`` and ``validate()``.
+
+    Every request pays for both, so they are generated once per class
+    as straight-line code over the declared fields (slot stores, inline
+    exact-type tests) instead of walking a field table on every call.
+    """
+    ns: dict[str, Any] = {"WireEncodeError": WireEncodeError,
+                          "__name__": cls.__module__}
+    # (a bare "*" needs a keyword parameter after it)
+    params, init, val = ["self", "*"] if cls.fields else ["self"], [], []
+    for f in cls.fields:
+        name, ftype = f.name, f.ftype
+        ns[f"_default_{name}"] = f.initial()
+        ns[f"_val_{name}"] = validators[name]
+        params.append(f"{name}=_default_{name}")
+        # A repeated field's default list only marks "not passed":
+        # each instance gets a list of its own.
+        fresh = f.default is None and ftype.repeated
+        init.append(f"    self.{name} = " + (
+            f"[] if {name} is _default_{name} else {name}" if fresh else name))
+        test = _ACCEPT_TESTS.get(
+            _Uint64 if type(ftype) is _Enum and ftype.allowed is None
+            else type(ftype))
+        val += [f"    v = self.{name}",
+                f"    if not ({test}) and v is not None:" if test
+                else "    if v is not None:",
+                f"        _val_{name}(v)"]
+    source = "\n".join([
+        f"def __init__({', '.join(params)}, **_unknown):",
+        "    if _unknown:",
+        "        raise WireEncodeError(f'{type(self).__name__} has no field '",
+        "                              f'{next(iter(_unknown))!r}')",
+        *init,
+        "def validate(self):",
+        '    """Raise exactly the error an encode would, without computing',
+        '    sizes or building bytes (recurses into submessages)."""',
+        *val, ""])
+    # A file name under this package keeps profilers and tracebacks
+    # attributing the generated code to the wire layer.
+    filename = f"{__file__}:<generated {cls.__qualname__}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), ns)
+    cls.__init__, cls.validate = ns["__init__"], ns["validate"]
 
 
 class MessageMeta(type):
@@ -512,16 +581,18 @@ class MessageMeta(type):
 
 
 class Message(metaclass=MessageMeta):
-    """Base class: subclasses set ``fields = (Field(...), ...)``."""
+    """Base class: subclasses set ``fields = (Field(...), ...)``.
+
+    ``__init__(**field_values)`` and ``validate()`` do not appear below:
+    :func:`_generate_methods` writes them per class from ``fields``.
+    """
 
     fields: tuple[Field, ...] = ()
     _by_number: dict[int, Field] = {}
-    _by_name: dict[str, Field] = {}
     #: compiled plans, built once per class by ``__init_subclass__``
-    _init_plan: tuple = ()
+    #: (which also generates the class's ``__init__`` and ``validate``)
     _enc_plan: tuple = ()
     _size_plan: tuple = ()
-    _val_plan: tuple = ()
     _dec_plan: dict = {}
 
     def __init_subclass__(cls, **kw: Any) -> None:
@@ -530,38 +601,20 @@ class Message(metaclass=MessageMeta):
         if len(set(numbers)) != len(numbers):
             raise WireEncodeError(f"{cls.__name__}: duplicate field numbers")
         cls._by_number = {f.number: f for f in cls.fields}
-        cls._by_name = {f.name: f for f in cls.fields}
-        init_plan, enc_plan, size_plan, val_plan = [], [], [], []
+        enc_plan, size_plan = [], []
+        validators: dict[str, Callable] = {}
         dec_plan: dict[int, tuple] = {}
         for f in cls.fields:
-            if f.default is not None:
-                init_plan.append((f.name, f.default, None))
-            elif f.ftype.repeated:
-                init_plan.append((f.name, None, list))
-            else:
-                init_plan.append((f.name, f.ftype.zero(), None))
             enc_one, size_one, dec_one, val_one = _compile_field(f)
             enc_plan.append((f.name, enc_one))
             size_plan.append((f.name, size_one))
-            val_plan.append((f.name, val_one))
+            validators[f.name] = val_one
             dec_plan[f.number] = (f.name, f.ftype.wire_type, dec_one,
                                   f.ftype.repeated)
-        cls._init_plan = tuple(init_plan)
         cls._enc_plan = tuple(enc_plan)
         cls._size_plan = tuple(size_plan)
-        cls._val_plan = tuple(val_plan)
         cls._dec_plan = dec_plan
-
-    def __init__(self, **values: Any) -> None:
-        for name, const, factory in self._init_plan:
-            setattr(self, name, const if factory is None else factory())
-        if values:
-            by_name = self._by_name
-            for name, value in values.items():
-                if name not in by_name:
-                    raise WireEncodeError(
-                        f"{type(self).__name__} has no field {name!r}")
-                setattr(self, name, value)
+        _generate_methods(cls, validators)
 
     # -- compiled codec -------------------------------------------------
     def encode(self) -> bytes:
@@ -582,15 +635,6 @@ class Message(metaclass=MessageMeta):
                 continue
             total += size_of(value)
         return total
-
-    def validate(self) -> None:
-        """Raise exactly the ``WireEncodeError`` an encode would, without
-        computing sizes or building bytes (recurses into submessages)."""
-        for name, val_of in self._val_plan:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            val_of(value)
 
     @classmethod
     def decode(cls, buf: bytes) -> "Message":
@@ -705,3 +749,6 @@ class Message(metaclass=MessageMeta):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self.fields)
         return f"{type(self).__name__}({inner})"
+
+
+_generate_methods(Message, {})   # the fieldless base gets the same pair

@@ -9,11 +9,14 @@ import pytest
 from repro.errors import (
     ConnectionRefused, NornsAccessDenied, NornsDataspaceExists,
     NornsDataspaceNotFound, NornsNotRegistered, NornsTaskError,
-    NornsTimeout, PermissionDenied,
+    NornsTimeout, PermissionDenied, UnknownMessageError,
 )
 from repro.norns import NornsClient, NornsCtlClient, TaskStatus, TaskType
 from repro.norns.resources import memory_region, posix_path, remote_path
+from repro.norns.urd import UrdDaemon
 from repro.util import GB, MB
+from repro.wire import Message, make_frame, open_frame
+from repro.wire import norns_proto as proto
 
 from tests.conftest import OUTSIDER, ROOT, USER, build_cluster, \
     register_standard_dataspaces
@@ -356,3 +359,135 @@ class TestAdminTasks:
         assert stats_b.status is TaskStatus.FINISHED
         # Second estimate is informed: within 50% of the actual time.
         assert abs(eta_b - actual_b) / actual_b < 0.5
+
+
+class TestRequestTable:
+    """The urd dispatches on a class-keyed table; these pin it to what
+    the isinstance ladder it replaced (commit 184644b) served."""
+
+    #: request class -> needed the control socket, as the ladder had it.
+    LADDER = {
+        proto.CommandRequest: False,
+        proto.StatusRequest: False,
+        proto.RegisterDataspaceRequest: True,
+        proto.UpdateDataspaceRequest: True,
+        proto.UnregisterDataspaceRequest: True,
+        proto.RegisterJobRequest: True,
+        proto.UpdateJobRequest: True,
+        proto.UnregisterJobRequest: True,
+        proto.AddProcessRequest: True,
+        proto.RemoveProcessRequest: True,
+        proto.IotaskSubmitRequest: False,
+        proto.IotaskStatusRequest: False,
+        proto.IotaskWaitRequest: False,
+        proto.GetDataspaceInfoRequest: False,
+    }
+    #: registered classes the ladder never served as requests.
+    NOT_REQUESTS = [
+        proto.RemoteFileRequest, proto.RemoteFileResponse,
+        proto.GenericResponse, proto.SubmitResponse,
+        proto.TaskStatusResponse, proto.DataspaceInfoResponse,
+        proto.DaemonStatusResponse,
+    ]
+
+    @staticmethod
+    def sample(cls):
+        """A request of ``cls`` a handler can serve without crashing."""
+        desc = proto.DataspaceDesc(nsid="nvme0://", backend_kind="dcpmm",
+                                   mount="/mnt/nvme0")
+        mem = proto.ResourceDesc(kind=proto.KIND_MEMORY, size=1)
+        return {
+            proto.CommandRequest: lambda: cls(command="ping"),
+            proto.RegisterDataspaceRequest: lambda: cls(dataspace=desc),
+            proto.UpdateDataspaceRequest: lambda: cls(dataspace=desc),
+            proto.IotaskSubmitRequest: lambda: cls(
+                task_type=proto.IOTASK_COPY, input=mem,
+                output=proto.ResourceDesc(kind=proto.KIND_POSIX_PATH,
+                                          nsid="tmp0://", path="/x")),
+        }.get(cls, cls)()
+
+    @staticmethod
+    def exchange(cluster, client, messages):
+        def go():
+            out = []
+            for msg in messages:
+                out.append((yield from client._roundtrip(msg)))
+            client.close()
+            return out
+        return cluster.run(go())
+
+    def test_table_has_exactly_the_ladders_entries(self):
+        table = UrdDaemon._REQUEST_TABLE
+        assert {cls: ctl for cls, (_h, ctl) in table.items()} == self.LADDER
+        handlers = [h for h, _ctl in table.values()]
+        assert len(set(handlers)) == len(handlers)       # one each
+        assert all(getattr(UrdDaemon, h.__name__) is h for h in handlers)
+        registered = set(proto.NORNS_PROTOCOL._by_id.values())
+        assert set(table) | set(self.NOT_REQUESTS) == registered
+
+    def test_control_requirement_per_request_class(self, cluster):
+        urd = cluster.node("node0").urd
+        requests = [self.sample(cls) for cls in self.LADDER]
+        before = urd.requests_served
+        on_user = self.exchange(
+            cluster, cluster.user_client("node0", pid=1), requests)
+        on_ctl = self.exchange(cluster, cluster.ctl("node0"), requests)
+        for (cls, needs_control), usr, ctl in zip(
+                self.LADDER.items(), on_user, on_ctl):
+            denied = (type(usr) is proto.GenericResponse
+                      and usr.error_code == proto.ERR_ACCESSDENIED)
+            assert denied == needs_control, cls.__name__
+            if denied:
+                assert usr.detail == \
+                    "administrative request on the user socket"
+            assert ctl.error_code not in (proto.ERR_ACCESSDENIED,
+                                          proto.ERR_BADREQUEST), cls.__name__
+        # Denied, failed and parked requests all count as served.
+        assert urd.requests_served == before + 2 * len(requests)
+
+    def test_non_request_classes_are_bad_requests(self, cluster):
+        urd = cluster.node("node0").urd
+        before = urd.requests_served
+        replies = self.exchange(cluster, cluster.ctl("node0"),
+                                [cls() for cls in self.NOT_REQUESTS])
+        for cls, reply in zip(self.NOT_REQUESTS, replies):
+            assert type(reply) is proto.GenericResponse
+            assert reply.error_code == proto.ERR_BADREQUEST
+            assert reply.detail == f"unsupported message {cls.__name__}"
+        assert urd.requests_served == before + len(self.NOT_REQUESTS)
+
+    def test_unregistered_classes_are_bad_requests(self, cluster):
+        # Framing refuses these at the sender, so they can only be
+        # handed to the dispatcher directly; the table is keyed by the
+        # exact class, like the registry.
+        class Stray(Message):
+            fields = ()
+
+        class StatusSubclass(proto.StatusRequest):
+            pass
+
+        urd = cluster.node("node0").urd
+        for msg in (Stray(), StatusSubclass()):
+            with pytest.raises(UnknownMessageError):
+                make_frame(proto.NORNS_PROTOCOL, msg)
+            reply = urd._dispatch(msg, True)
+            assert reply.error_code == proto.ERR_BADREQUEST
+            assert reply.detail == \
+                f"unsupported message {type(msg).__name__}"
+
+    def test_unknown_message_id_is_a_bad_request(self, cluster):
+        urd = cluster.node("node0").urd
+        ctl = cluster.ctl("node0")
+        before = urd.requests_served
+
+        def go():
+            yield from ctl.connect()
+            yield ctl._chan.send(b"\x7f\x00")    # id 127: never assigned
+            raw = yield ctl._chan.recv()
+            ctl.close()
+            return open_frame(proto.NORNS_PROTOCOL, raw)
+
+        reply = cluster.run(go())
+        assert reply.error_code == proto.ERR_BADREQUEST
+        assert "unknown message id 127" in reply.detail
+        assert urd.requests_served == before + 1

@@ -12,7 +12,7 @@ import pathlib
 import pytest
 
 import test_policy_replay as replay_mod
-from repro.errors import UnknownMessageError, WireError
+from repro.errors import UnknownMessageError, WireEncodeError, WireError
 from repro.net.sockets import Credentials, LocalSocketHub
 from repro.norns import NornsClient, TaskType
 from repro.norns.resources import memory_region, posix_path
@@ -143,6 +143,31 @@ class TestWireFrame:
             set_wire_mode(mode)
             with pytest.raises(UnicodeEncodeError):
                 make_frame(proto.NORNS_PROTOCOL, bad)
+
+    def test_oversized_int_in_double_rejected_identically_in_both_modes(
+            self, restore_mode):
+        # An int too large for a float used to pass fast-mode
+        # make_frame (len(frame) == 15) and raise a bare OverflowError
+        # from materialize(); bytes mode raised that OverflowError at
+        # the sender.  Both must fail the sender with the typed error,
+        # from every entry point.
+        bad = proto.SubmitResponse(eta_seconds=10 ** 400)
+        errors = set()
+        for mode in (WIRE_MODE_BYTES, WIRE_MODE_FAST):
+            set_wire_mode(mode)
+            with pytest.raises(WireEncodeError) as exc:
+                make_frame(proto.NORNS_PROTOCOL, bad)
+            errors.add(str(exc.value))
+        for entry in (bad.validate, bad.encoded_size, bad.encode,
+                      bad.encode_oracle):
+            with pytest.raises(WireEncodeError) as exc:
+                entry()
+            errors.add(str(exc.value))
+        assert len(errors) == 1
+        # The largest int a double can hold still frames.
+        ok = proto.SubmitResponse(eta_seconds=int(1.7976931348623157e308))
+        assert frame_bytes(WireFrame(proto.NORNS_PROTOCOL, ok)) \
+            == encode_frame(proto.NORNS_PROTOCOL, ok)
 
     def test_message_instances_are_slotted(self):
         msg = proto.CommandRequest(command="x")

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import WireError
 from repro.wire import WireFrame, decode_frame, encode_frame, open_frame
+from repro.wire import messages as wire_messages
 from repro.wire import norns_proto as proto
 from repro.wire.encoding import decode_tag, skip_field
 from repro.wire.varint import decode_varint
@@ -178,3 +179,121 @@ class TestSkipField:
             assert pos <= end <= len(blob)
         except WireError:
             pass
+
+
+# -- generated validate vs the oracle, right and wrong values ---------------
+
+class _IntSub(int):
+    pass
+
+
+class _StrSub(str):
+    pass
+
+
+#: every message class of the protocol, submessage-only ones included.
+_ALL_CLASSES = sorted(
+    {*proto.NORNS_PROTOCOL._by_id.values(), proto.ResourceDesc,
+     proto.DataspaceDesc, proto.JobLimits}, key=lambda c: c.__name__)
+
+#: values sitting on every edge the generated exact-type tests cut:
+#: range ends and one past them, bools and subclasses in int fields,
+#: ints (fitting and not) in double fields, non-ASCII and unencodable
+#: strings, wrong containers, wrong and invalid submessages.
+_EDGE_VALUES = [
+    None, 0, 1, 3, -1, 2 ** 63 - 1, 2 ** 63, -(2 ** 63), -(2 ** 63) - 1,
+    2 ** 64 - 1, 2 ** 64, 10 ** 400, True, False,
+    0.0, 1.5, -2.5, float("inf"), float("nan"),
+    "", "ascii", "naïve", "\ud800", b"raw",
+    _IntSub(3), _IntSub(-1), _IntSub(2 ** 64), _StrSub("sub"),
+    _StrSub("\ud800"),
+    [], ["a"], ("a", "b"), ["a", 1], ["\ud800", 1], [2 ** 64, "x"],
+    proto.ResourceDesc(), proto.ResourceDesc(kind=9),
+    proto.DataspaceDesc(), proto.DataspaceDesc(quota_bytes=-1),
+    proto.JobLimits(nsids=["ok"]), proto.JobLimits(nsids=[1]),
+    [proto.DataspaceDesc()], (proto.DataspaceDesc(track=1),),
+    [proto.DataspaceDesc(nsid=5), "x"],
+]
+
+
+def _outcome(call):
+    """``None`` if the call returns, else the error's type and text."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _assert_sender_parity(msg):
+    """Every sender-side entry point fails (or not) like the oracle."""
+    expected = _outcome(msg.encode_oracle)
+    assert _outcome(msg.validate) == expected
+    assert _outcome(msg.encoded_size) == expected
+    assert _outcome(msg.encode) == expected
+    if expected is None:
+        assert msg.encode() == msg.encode_oracle()
+        assert msg.encoded_size() == len(msg.encode())
+
+
+def _right_values(ftype):
+    """A strategy of values the field type accepts."""
+    if ftype.repeated:
+        items = st.lists(_right_values(ftype.inner), max_size=3)
+        return items | items.map(tuple)
+    if isinstance(ftype, wire_messages._Submessage):
+        return _any_message(ftype.msg_cls, right_only=True)
+    if isinstance(ftype, wire_messages._Enum):
+        return (st.sampled_from(sorted(ftype.allowed))
+                if ftype.allowed else _uints)
+    return {
+        wire_messages._Uint64: _uints,
+        wire_messages._Sint64: _sints,
+        wire_messages._Bool: st.booleans(),
+        wire_messages._Double: st.floats() | st.integers(-10 ** 6, 10 ** 6),
+        wire_messages._String: _texts,
+    }[type(ftype)]
+
+
+def _any_message(cls, right_only=False):
+    """Instances of ``cls``; unless ``right_only``, about one field
+    value in four comes from ``_EDGE_VALUES`` instead of its type."""
+    def values(ftype):
+        right = _right_values(ftype) | st.none()
+        if right_only:
+            return right
+        return st.one_of(right, right, right, st.sampled_from(_EDGE_VALUES))
+    return st.builds(cls, **{f.name: values(f.ftype) for f in cls.fields})
+
+
+class TestGeneratedValidateParity:
+    @pytest.mark.parametrize("cls", _ALL_CLASSES, ids=lambda c: c.__name__)
+    def test_every_field_against_every_edge_value(self, cls):
+        for f in cls.fields:
+            for value in _EDGE_VALUES:
+                _assert_sender_parity(cls(**{f.name: value}))
+
+    @given(st.data())
+    def test_mixed_right_and_wrong_values(self, data):
+        cls = data.draw(st.sampled_from(_ALL_CLASSES))
+        _assert_sender_parity(data.draw(_any_message(cls)))
+
+    def test_the_edges_are_actually_cut(self):
+        """The pool is only a test if it holds accepted and rejected
+        values for each inline test (a mutant that widens a range by
+        one or admits bools must change some outcome above)."""
+        ok = lambda **kw: _outcome(  # noqa: E731
+            proto.IotaskSubmitRequest(**kw).validate) is None
+        assert ok(pid=2 ** 64 - 1) and not ok(pid=2 ** 64)
+        assert ok(pid=0) and not ok(pid=-1) and not ok(pid=True)
+        assert ok(pid=_IntSub(3)) and not ok(pid=_IntSub(2 ** 64))
+        assert ok(priority=2 ** 63 - 1) and not ok(priority=2 ** 63)
+        assert ok(priority=-(2 ** 63)) and not ok(priority=-(2 ** 63) - 1)
+        assert ok(admin=False) and not ok(admin=0) and not ok(admin=1)
+        assert ok(task_type=_IntSub(3)) and not ok(task_type=0)
+        ok = lambda **kw: _outcome(  # noqa: E731
+            proto.TaskStatusResponse(**kw).validate) is None
+        assert ok(eta_seconds=3) and not ok(eta_seconds=10 ** 400)
+        assert ok(eta_seconds=float("nan")) and not ok(eta_seconds=True)
+        assert ok(status="naïve") and not ok(status="\ud800")
+        assert ok(status=_StrSub("sub")) and not ok(status=b"raw")

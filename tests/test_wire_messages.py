@@ -201,3 +201,49 @@ class TestNornsProtocol:
         frame = encode_frame(np_.NORNS_PROTOCOL,
                              np_.CommandRequest(command="ping"))
         assert isinstance(frame, bytes) and len(frame) >= 3
+
+
+#: every message class of the protocol, submessage-only ones included.
+_PROTOCOL_CLASSES = sorted(
+    {*np_.NORNS_PROTOCOL._by_id.values(), np_.ResourceDesc,
+     np_.DataspaceDesc, np_.JobLimits, Blob, Point},
+    key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", _PROTOCOL_CLASSES, ids=lambda c: c.__name__)
+class TestGeneratedConstructor:
+    """``__init__`` is generated per class from ``fields``; it must
+    behave like the field-table loop it replaced."""
+
+    def test_defaults_equal_field_initial(self, cls):
+        msg = cls()
+        for f in cls.fields:
+            value = getattr(msg, f.name)
+            assert value == f.initial() and type(value) is type(f.initial())
+
+    def test_repeated_fields_get_their_own_list(self, cls):
+        a, b = cls(), cls()
+        for f in cls.fields:
+            if f.ftype.repeated:
+                assert getattr(a, f.name) is not getattr(b, f.name)
+                getattr(a, f.name).append("only in a")
+                assert getattr(b, f.name) == [] == getattr(cls(), f.name)
+
+    def test_passed_values_are_kept_as_given(self, cls):
+        for f in cls.fields:
+            marker = object()       # no copying, no coercion, no checks
+            assert getattr(cls(**{f.name: marker}), f.name) is marker
+            assert getattr(cls(**{f.name: None}), f.name) is None
+        everything = {f.name: [f.number] for f in cls.fields}
+        msg = cls(**everything)
+        assert all(getattr(msg, k) is v for k, v in everything.items())
+
+    def test_unknown_keyword_names_the_first_unknown_field(self, cls):
+        known = {f.name: None for f in cls.fields[:1]}
+        with pytest.raises(WireEncodeError) as exc:
+            cls(**known, zeta=1, alpha=2)
+        assert str(exc.value) == f"{cls.__name__} has no field 'zeta'"
+
+    def test_fields_are_keyword_only(self, cls):
+        with pytest.raises(TypeError):
+            cls(1)
