@@ -70,7 +70,8 @@ class MercuryEndpoint:
         self.node = node
         self.sim = network.sim
         self.plugin = network.plugin
-        #: rpc name -> (handler, reply-event label, handler-process label)
+        #: rpc name -> (handler, reply-event label, handler-process
+        #: label, guarded-reply label, idempotent)
         self._handlers: Dict[str, tuple] = {}
         self._incoming: Store = Store(self.sim, name=f"hg:{node}:in")
         self._rpc_seq = itertools.count(1)
@@ -87,20 +88,26 @@ class MercuryEndpoint:
             self.sim.process(self._progress_loop(), name=f"hg:{node}:prog{i}")
 
     # -- registration -----------------------------------------------------
-    def register(self, rpc: str, handler: Callable) -> None:
+    def register(self, rpc: str, handler: Callable,
+                 idempotent: bool = False) -> None:
         """Bind ``rpc`` name to a handler.
 
         The handler is called as ``handler(payload, origin)`` and may be
         a plain function returning the response payload, or a generator
         (a sim process) yielding events before returning it.
+
+        ``idempotent`` declares that running the handler again for a
+        repeated delivery is harmless (a liveness probe): such an rpc
+        bypasses the duplicate-suppression table and retains nothing.
         """
         if rpc in self._handlers:
             raise NetworkError(f"rpc {rpc!r} already registered on {self.node}")
-        # The two labels every call of this rpc carries (the caller's
-        # reply event, the handler process) are read only by ``repr``:
-        # format them here, once per endpoint x rpc, not per call.
-        self._handlers[rpc] = (handler, f"rpc:{rpc}@{self.node}",
-                               f"hg:{self.node}:{rpc}")
+        # The labels every call of this rpc carries (the caller's reply
+        # event, its timeout guard, the handler process) are read only
+        # by ``repr``: format them here, once per endpoint x rpc.
+        label = f"rpc:{rpc}@{self.node}"
+        self._handlers[rpc] = (handler, label, f"hg:{self.node}:{rpc}",
+                               f"{label}:guarded", idempotent)
 
     @property
     def address(self) -> str:
@@ -154,11 +161,13 @@ class MercuryEndpoint:
                 lambda _e: tgt._incoming.put(request))
         if timeout is None:
             return reply
-        return self._with_timeout(reply, timeout, rpc, target)
+        return self._with_timeout(reply, timeout, rpc, target, registered)
 
     def _with_timeout(self, reply: Event, timeout: float, rpc: str,
-                      target: str) -> Event:
-        guarded = self.sim.event(name=f"rpc:{rpc}@{target}:guarded")
+                      target: str, registered: Optional[tuple]) -> Event:
+        guarded = self.sim.event(
+            name=registered[3] if registered is not None
+            else f"rpc:{rpc}@{target}:guarded")
         deadline = self.sim.timeout(timeout)
 
         def settle(_e: Event) -> None:
@@ -211,16 +220,18 @@ class MercuryEndpoint:
             # target-side bottleneck measured in Fig. 5.
             if self.plugin.rpc_service_time > 0:
                 yield self.sim.timeout(self.plugin.rpc_service_time)
-            if key is not None and self._suppress_duplicate(key, origin,
-                                                           reply):
-                continue
             registered = self._handlers.get(rpc)
+            if registered is not None and registered[4]:
+                key = None  # idempotent: run it again, record nothing
+            elif key is not None and self._suppress_duplicate(key, origin,
+                                                             reply):
+                continue
             if registered is None:
                 self._respond(origin, reply,
                               NetworkError(f"no handler for rpc {rpc!r} on {self.node}"),
                               ok=False)
                 continue
-            handler, _, label = registered
+            handler, label = registered[0], registered[2]
             self.sim.process(self._dispatch(handler, rpc, payload, origin,
                                             reply, key, ctx),
                              name=label)

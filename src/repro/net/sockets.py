@@ -100,12 +100,21 @@ class Channel:
         return self._inbox.get()
 
     def close(self) -> None:
-        """Half-close: the peer's pending recv gets EOF (``None``)."""
+        """Half-close: the peer's pending recv gets EOF (``None``).
+
+        The second close of a pair unlinks the two ends, so a finished
+        connection is not a reference cycle.
+        """
         if self.closed:
             return
         self.closed = True
-        if self.peer is not None and not self.peer.closed:
-            self.peer._inbox.put(None)
+        peer = self.peer
+        if peer is None:
+            return
+        if peer.closed:
+            self.peer = peer.peer = None
+        else:
+            peer._inbox.put(None)
 
 
 class Listener:

@@ -239,7 +239,8 @@ class UrdDaemon:
         while True:
             frame = yield chan.recv()
             if frame is None:
-                break  # client closed
+                chan.close()  # client closed: unlink the pair
+                return
             t = self.sim.tracer
             sid = -1 if t is None else t.begin(
                 "urd", "serve", track=self.node,
@@ -779,7 +780,7 @@ class UrdDaemon:
     def _register_remote_handlers(self) -> None:
         ep = self.endpoint
         ep.register("norns.submit", self._rpc_submit)
-        ep.register("norns.ping", self._rpc_ping)
+        ep.register("norns.ping", self._rpc_ping, idempotent=True)
         ep.register("norns.pull.query", self._rpc_pull_query)
         ep.register("norns.pull.release", self._rpc_pull_release)
         ep.register("norns.push.prepare", self._rpc_push_prepare)

@@ -230,6 +230,11 @@ class Process(Event):
     ``send``/``throw`` and the process's own ``_resume`` are bound once
     at construction and reused for every yield, so parking on an event
     and being woken allocates nothing beyond the calendar entry itself.
+
+    The stored ``_resume`` makes a live process a reference cycle with
+    itself.  :meth:`_finish` breaks it the moment the generator is done,
+    so a finished process and its frame are freed by reference counting
+    instead of waiting, by the million, for the cyclic collector.
     """
 
     __slots__ = ("_gen", "_waiting_on", "_send", "_throw", "_resume_cb")
@@ -273,6 +278,16 @@ class Process(Event):
         kick._trigger(False, Interrupted(cause), 0.0, priority=URGENT)
 
     # -- engine -------------------------------------------------------
+    def _finish(self, ok: bool, value: Any) -> None:
+        """Trigger the process's own event and let go of the generator.
+
+        A stale wake-up still queued holds its own bound ``_resume`` and
+        bails on ``_state``, so nothing reads these slots again.
+        """
+        self.sim._active_process = None
+        self._gen = self._send = self._throw = self._resume_cb = None
+        self._trigger(ok, value)
+
     def _resume(self, trigger: Event) -> None:
         if self._state != PENDING:
             # Stale wake-up: a second interrupt was queued for the same
@@ -290,27 +305,27 @@ class Process(Event):
                 else:
                     target = self._throw(event._value)
             except StopIteration as stop:
-                sim._active_process = None
-                self.succeed(stop.value)
+                self._finish(True, stop.value)
                 return
             except BaseException as exc:
-                sim._active_process = None
                 if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                    sim._active_process = None
                     raise
-                self.fail(exc)
+                # Drop this frame from the traceback: it holds ``self``,
+                # which is about to hold ``exc`` — a cycle otherwise.
+                exc.__traceback__ = exc.__traceback__.tb_next
+                self._finish(False, exc)
                 return
 
             if target.__class__ is not Event and not isinstance(target, Event):
-                sim._active_process = None
-                bad = SimError(
+                self._finish(False, SimError(
                     f"process {self.name!r} yielded {target!r}; "
                     "processes must yield Event instances"
-                )
-                self.fail(bad)
+                ))
                 return
             if target.sim is not sim:
-                sim._active_process = None
-                self.fail(SimError("yielded event belongs to another simulator"))
+                self._finish(False, SimError(
+                    "yielded event belongs to another simulator"))
                 return
 
             if target._state == PROCESSED:

@@ -255,6 +255,7 @@ class FlowScheduler:
         if size == 0:
             flow.finished_at = self.sim.now
             self._trace_flow(flow, "finished")
+            flow.done = None
             done.succeed(flow)
             return done
         if not flow.constraints and rate_cap is None:
@@ -264,6 +265,7 @@ class FlowScheduler:
             self._bytes_moved += flow.size
             self._completed += 1
             self._trace_flow(flow, "finished")
+            flow.done = None
             done.succeed(flow)
             return done
         self._run_due()
@@ -529,9 +531,12 @@ class FlowScheduler:
         flow.rate = 0.0
         self._completed += 1
         self._bytes_moved += flow.size
-        self._by_done.pop(flow.done, None)
+        # The event is about to carry the flow: drop the back link so
+        # the pair is not a reference cycle.
+        done, flow.done = flow.done, None
+        self._by_done.pop(done, None)
         self._trace_flow(flow, "finished")
-        flow.done.succeed(flow)
+        done.succeed(flow)
 
     def _run_due(self) -> None:
         """Advance and settle every component whose deadline has come."""
@@ -864,6 +869,7 @@ class ReferenceFlowScheduler:
                     done, self.sim.now, label, weight)
         if size == 0:
             flow.finished_at = self.sim.now
+            flow.done = None
             done.succeed(flow)
             return done
         if not flow.constraints and rate_cap is None:
@@ -871,6 +877,7 @@ class ReferenceFlowScheduler:
             flow.remaining = 0.0
             self._bytes_moved += flow.size
             self._completed += 1
+            flow.done = None
             done.succeed(flow)
             return done
         self._advance()
@@ -937,7 +944,8 @@ class ReferenceFlowScheduler:
         flow.rate = 0.0
         self._completed += 1
         self._bytes_moved += flow.size
-        flow.done.succeed(flow)
+        done, flow.done = flow.done, None  # no Flow <-> Event cycle
+        done.succeed(flow)
 
     def _reallocate(self) -> None:
         """Recompute max-min fair rates and schedule the next wake-up."""

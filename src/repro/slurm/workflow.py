@@ -82,23 +82,31 @@ class Workflow:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
+        # Explicit-stack DFS: a recursive inner function would refer to
+        # itself through its own cell and leave one reference cycle per
+        # call for the collector.
+        deps = self._deps
         seen: set[int] = set()
-        stack: set[int] = set()
-
-        def visit(jid: int) -> None:
-            if jid in stack:
-                raise InvalidDependency(
-                    f"workflow {self.workflow_id} has a dependency cycle")
-            if jid in seen:
-                return
-            stack.add(jid)
-            for dep in self._deps.get(jid, ()):
-                visit(dep)
-            stack.discard(jid)
-            seen.add(jid)
-
-        for jid in self._jobs:
-            visit(jid)
+        for root in self._jobs:
+            if root in seen:
+                continue
+            path = {root}
+            stack = [(root, iter(deps.get(root, ())))]
+            while stack:
+                jid, pending = stack[-1]
+                for dep in pending:
+                    if dep in path:
+                        raise InvalidDependency(
+                            f"workflow {self.workflow_id} has a "
+                            "dependency cycle")
+                    if dep not in seen:
+                        path.add(dep)
+                        stack.append((dep, iter(deps.get(dep, ()))))
+                        break
+                else:
+                    stack.pop()
+                    path.discard(jid)
+                    seen.add(jid)
 
     def dependencies_of(self, job_id: int) -> frozenset[int]:
         return frozenset(self._deps.get(job_id, ()))

@@ -8,6 +8,7 @@ through the real control API.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -24,6 +25,15 @@ from repro.storage import (
     BlockDevice, Mount, ParallelFileSystem, PfsConfig, PROFILES,
 )
 from repro.util import GB, GiB, TB
+
+@pytest.fixture
+def no_collector():
+    """Only reference counting may free anything inside the test."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
 
 ROOT = Credentials(uid=0, gid=0)
 USER = Credentials(uid=1000, gid=100, groups=frozenset({GID_NORNS_USER}))

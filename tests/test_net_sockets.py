@@ -1,5 +1,7 @@
 """Tests for the AF_UNIX-style local socket model and permission bits."""
 
+import weakref
+
 import pytest
 
 from repro.errors import ConnectionRefused, PermissionDenied, SimError
@@ -169,6 +171,43 @@ class TestChannel:
         sim.process(client())
         sim.run()
         assert outcome == ["refused"]
+
+    def test_closed_pair_is_freed_without_collector(self, sim, hub,
+                                                    no_collector):
+        """The second close unlinks the two ends, so a finished
+        connection is reclaimed by reference counting.  ``Channel`` has
+        no ``__weakref__`` slot: a payload left unread in the server's
+        inbox stands in for it."""
+        class Payload:
+            pass
+
+        lst = hub.listen("/svc", Credentials.root(), mode=0o666)
+        seen, ends = [], []
+
+        def server():
+            ch = yield lst.accept()
+            ends.append(ch)
+            yield sim.timeout(1)          # never reads, then hangs up
+            ch.close()
+
+        def client():
+            ch = yield hub.connect("/svc", Credentials.root())
+            ends.append(ch)
+            payload = Payload()
+            seen.append(weakref.ref(payload))
+            yield ch.send(payload)
+            ch.close()
+
+        sim.process(server())
+        sim.process(client())
+        sim.run()
+        assert seen[0]() is not None
+        assert [ch.closed for ch in ends] == [True, True]
+        assert [ch.peer for ch in ends] == [None, None]
+        with pytest.raises(ConnectionRefused):
+            sim.run(ends[0].send(b"late"))
+        ends.clear()
+        assert seen[0]() is None
 
     def test_many_clients_one_listener(self, sim, hub):
         lst = hub.listen("/svc", Credentials.root(), mode=0o666)

@@ -10,12 +10,13 @@ kernel event counts.
 import pytest
 
 from repro.errors import (
-    NornsBusy, NornsTimeout, PeerUnavailable,
+    NetworkError, NornsBusy, NornsTimeout, PeerUnavailable,
 )
 from repro.norns import TaskStatus, TaskType
 from repro.norns.resources import posix_path, remote_path
 from repro.resilience import ResilienceConfig
 from repro.util import GB, MB
+from repro.wire import make_frame
 from repro.wire import norns_proto as proto
 
 from tests.conftest import build_cluster, register_standard_dataspaces
@@ -100,6 +101,129 @@ class TestIdempotencyDedup:
         assert c.run(go()) == (b"1", b"2")
         assert len(calls) == 2
         assert ep1.duplicates_suppressed == 0
+
+
+class TestProbesAreNotDeduplicated:
+    """``norns.ping`` is registered idempotent: a urd serves it for as
+    long as it lives, so a table entry per served probe is the wrong
+    complexity.  Keyed control RPCs are deduplicated exactly as before,
+    and the probe's key still seeds its retry jitter."""
+
+    CFG = ResilienceConfig(heartbeat_interval=1.0, heartbeat_timeout=0.5)
+
+    def _ring(self, c, until):
+        names = sorted(c.nodes)
+        for i, name in enumerate(names):
+            urd = c.nodes[name].urd
+            urd.enable_resilience(config=self.CFG, seed=5)
+            urd.resilience.arm(watch=(names[(i + 1) % len(names)],),
+                               until=until)
+
+    @staticmethod
+    def _dedup_entries(c):
+        return sum(len(n.urd.endpoint._dedup) for n in c.nodes.values())
+
+    def test_ping_only_window_retains_nothing(self):
+        c = build_cluster(3)
+        self._ring(c, until=10.0)
+        c.sim.run()
+        probes = sum(n.urd.resilience.counters.heartbeat_probes
+                     for n in c.nodes.values())
+        assert probes > 30
+        assert sum(n.urd.endpoint.rpcs_served
+                   for n in c.nodes.values()) == probes
+        assert self._dedup_entries(c) == 0
+
+    def test_keyed_control_calls_are_still_recorded(self):
+        c = build_cluster(3)
+        for name in c.nodes:
+            register_standard_dataspaces(c, name)
+        self._ring(c, until=10.0)
+        c.sim.run(c.node("node0").mounts["nvme0"].write_file("/d", 10 * MB))
+        stats = admin_copy(c, "node0", TaskType.COPY,
+                           posix_path("nvme0://", "/d"),
+                           remote_path("node1", "nvme0://", "/d"))
+        assert stats.status is TaskStatus.FINISHED
+        c.sim.run()
+        counters = [n.urd.resilience.counters for n in c.nodes.values()]
+        control = sum(k.calls - k.heartbeat_probes for k in counters)
+        assert control == 2                     # push.prepare + push.commit
+        assert self._dedup_entries(c) == control
+        assert all(key.split(":")[1].startswith("norns.push")
+                   for n in c.nodes.values() for key in n.urd.endpoint._dedup)
+
+    def test_duplicated_submit_suppressed_duplicated_ping_served(self):
+        c = build_cluster(2)
+        ep0 = c.node("node0").urd.endpoint
+        urd1 = c.node("node1").urd
+        ping = make_frame(proto.NORNS_PROTOCOL,
+                          proto.CommandRequest(command="ping"))
+
+        def twice(rpc, payload):
+            # a retry whose original was delivered after all
+            a = yield ep0.call("node1", rpc, payload, key="node0:dup:1")
+            b = yield ep0.call("node1", rpc, payload, key="node0:dup:1")
+            return a, b
+
+        c.run(twice("norns.submit", ping))
+        assert urd1.requests_served == 1
+        assert urd1.endpoint.rpcs_served == 1
+        assert urd1.endpoint.duplicates_suppressed == 1
+        assert list(urd1.endpoint._dedup) == ["node0:dup:1"]
+
+        c.run(twice("norns.ping", b""))
+        assert urd1.endpoint.rpcs_served == 3
+        assert urd1.endpoint.duplicates_suppressed == 1
+        assert list(urd1.endpoint._dedup) == ["node0:dup:1"]
+
+    def test_probe_retry_delays_unchanged(self):
+        """The probe's key is still drawn from the per-node sequence and
+        still seeds ``policy.delay``: the pauses before the second
+        attempt are bit-identical to the ones measured before probes
+        left the table (seed 5, node0 probing a dead node1)."""
+        # a threshold no probe reaches: every probe gets both attempts
+        cfg = ResilienceConfig(heartbeat_interval=1.0, heartbeat_timeout=0.5,
+                               failure_threshold=100)
+        c = build_cluster(2)
+        urd0 = c.node("node0").urd
+        urd0.enable_resilience(config=cfg, seed=5)
+        res = urd0.resilience
+        attempts = {}
+
+        class Recording:
+            def call(_, target, rpc, payload=b"", timeout=None, key=None):
+                attempts.setdefault(key, []).append(c.sim.now)
+                return urd0.endpoint.call(target, rpc, payload,
+                                          timeout=timeout, key=key)
+
+        res.endpoint = Recording()
+        c.node("node1").urd.set_down(True)
+        res.arm(watch=("node1",), until=0.0)
+        c.sim.run()
+        keys = [f"node0:norns.ping:{n}" for n in (1, 2, 3)]
+        assert list(attempts)[:3] == keys
+        pauses = [attempts[k][1] - attempts[k][0] - cfg.heartbeat_timeout
+                  for k in keys]
+        assert pauses == pytest.approx(
+            [0.04747474067844451, 0.047303225757787004,
+             0.04742469083284959], abs=1e-9)
+        assert pauses == pytest.approx(
+            [cfg.probe_retry.delay(5, k, 1) for k in keys], abs=1e-9)
+        assert res.counters.retries == res.counters.heartbeat_misses > 3
+
+    def test_guard_label_comes_from_the_registration(self):
+        c = build_cluster(2)
+        ep0 = c.node("node0").urd.endpoint
+        guarded = ep0.call("node1", "norns.ping", b"", timeout=1.0)
+        assert guarded.name == "rpc:norns.ping@node1:guarded"
+        assert guarded.name is c.node("node1").urd.endpoint \
+            ._handlers["norns.ping"][3]
+        # an rpc nobody registered still gets a label (and an error)
+        stray = ep0.call("node1", "no.such.rpc", b"", timeout=1.0)
+        assert stray.name == "rpc:no.such.rpc@node1:guarded"
+        assert c.sim.run(guarded) is not None
+        with pytest.raises(NetworkError, match="no handler"):
+            c.sim.run(stray)
 
 
 class TestWaitSentinel:

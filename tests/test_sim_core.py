@@ -1,9 +1,12 @@
 """Unit tests for the DES kernel (Simulator/Event/Process)."""
 
+import weakref
+
 import pytest
 
 from repro.errors import Interrupted, InvalidEventState, SimError, SimulationEnded
 from repro.sim import Simulator
+from repro.sim.core import FastSimulator, ReferenceSimulator
 
 
 @pytest.fixture
@@ -371,3 +374,110 @@ class TestCancellableTimeoutChurn:
         sim.process(proc())
         sim.run()
         assert hits == ["proc-done"]
+
+
+class Sentinel:
+    """Weakref-able stand-in for whatever a process holds."""
+
+
+@pytest.mark.parametrize("kernel", [FastSimulator, ReferenceSimulator])
+class TestProcessIsFreedByRefcount:
+    """A finished process must not wait for the cyclic collector: the
+    process, its generator frame and its result go the moment the last
+    outside reference does (the ``Process`` code is shared by both
+    kernels, so both are driven)."""
+
+    def test_finished_process_releases_result_and_frame(
+            self, kernel, no_collector):
+        sim = kernel()
+        seen = []
+
+        def proc():
+            held, result = Sentinel(), Sentinel()
+            seen.extend((weakref.ref(held), weakref.ref(result)))
+            yield sim.timeout(1)
+            return result
+
+        p = sim.process(proc())
+        sim.run()
+        assert p.value is seen[1]()
+        del p
+        assert [r() for r in seen] == [None, None]
+
+    def test_failed_process_releases_frame(self, kernel, no_collector):
+        sim = kernel()
+        seen = []
+
+        def proc():
+            held = Sentinel()
+            seen.append(weakref.ref(held))
+            yield sim.timeout(1)
+            raise ValueError("boom")
+
+        p = sim.process(proc())
+        sim.run()
+        # The failure still names where it happened ...
+        assert p.value.__traceback__.tb_frame.f_code.co_name == "proc"
+        assert seen[0]() is not None      # ... and that frame holds it
+        del p
+        assert seen[0]() is None
+
+    def test_bad_yield_releases_suspended_generator(
+            self, kernel, no_collector):
+        sim = kernel()
+        seen = []
+
+        def proc():
+            held = Sentinel()
+            seen.append(weakref.ref(held))
+            yield "not an event"
+            yield held                    # keeps the frame's reference
+
+        p = sim.process(proc())
+        sim.run()
+        assert isinstance(p.value, SimError)
+        # The generator never finished, yet nothing keeps it any more.
+        assert seen[0]() is None
+
+    def test_failure_still_propagates_to_a_waiter(self, kernel):
+        sim = kernel()
+
+        def child():
+            yield sim.timeout(1)
+            raise ValueError("boom")
+
+        def parent():
+            try:
+                yield sim.process(child())
+            except ValueError as exc:
+                return str(exc)
+
+        assert sim.run(sim.process(parent())) == "boom"
+
+    def test_interrupt_queued_as_process_finishes_is_stale(self, kernel):
+        """Two interrupts at one instant: the first runs the generator
+        to completion, the second finds a finished process and must be
+        a harmless wake-up (it holds its own bound resume hook)."""
+        sim = kernel()
+
+        def victim():
+            try:
+                yield sim.timeout(100)
+            except Interrupted as i:
+                return i.cause
+
+        def attacker(v):
+            yield sim.timeout(5)
+            v.interrupt("first")
+            v.interrupt("second")
+
+        v = sim.process(victim())
+        sim.process(attacker(v))
+        sim.run()
+        assert v.value == "first" and not v.is_alive
+        assert sim.now == 100             # the orphaned timeout fires
+        # boot x2, t=5 timeout, two kicks, both processes' own events,
+        # the orphaned t=100 timeout
+        assert sim.event_count == 8
+        with pytest.raises(SimError):
+            v.interrupt()

@@ -4,10 +4,13 @@ These pin down the bandwidth-sharing semantics every higher layer
 (PFS contention, NIC sharing, per-stream protocol caps) relies on.
 """
 
+import weakref
+
 import pytest
 
 from repro.errors import SimError
-from repro.sim import CapacityConstraint, FlowScheduler, Simulator
+from repro.sim import (CapacityConstraint, FlowScheduler,
+                       ReferenceFlowScheduler, Simulator)
 
 
 @pytest.fixture
@@ -176,3 +179,28 @@ class TestAccounting:
         assert link.active_flows == 2
         assert link.load == pytest.approx(100.0)
         assert link.utilization == pytest.approx(1.0)
+
+
+class Label(str):
+    """A weakref-able flow label (``Flow`` has no ``__weakref__``)."""
+
+
+@pytest.mark.parametrize("engine", [FlowScheduler, ReferenceFlowScheduler])
+@pytest.mark.parametrize("size,constrained", [(100.0, True), (0.0, True),
+                                              (100.0, False)])
+def test_finished_flow_is_freed_without_collector(sim, engine, size,
+                                                  constrained, no_collector):
+    """The completion event carries the flow as its value, so the flow
+    must let go of the event: shared, instantaneous and empty transfers
+    alike are reclaimed by reference counting."""
+    fs = engine(sim)
+    link = CapacityConstraint("link", 100.0)
+    label = Label("tagged")
+    seen = weakref.ref(label)
+    done = fs.transfer(size, [link] if constrained else [], label=label)
+    del label
+    flow = sim.run(done)
+    assert flow.label == "tagged" and flow.finished_at == sim.now
+    assert flow.done is None
+    del flow, done
+    assert seen() is None

@@ -1,5 +1,7 @@
 """Tests for batch-script parsing and workflow semantics (no scheduler)."""
 
+import gc
+
 import pytest
 
 from repro.errors import InvalidDependency, ScriptParseError
@@ -158,6 +160,32 @@ class TestWorkflow:
         assert not wf.is_runnable(b.job_id)
         a.set_state(JobState.COMPLETED)
         assert wf.is_runnable(b.job_id)
+
+    def test_readding_a_job_behind_its_dependent_is_a_cycle(self):
+        """The one way the acyclicity check is reachable: prerequisites
+        must already be members, so only re-adding a member can close a
+        loop."""
+        a, b, c = make_job("a"), make_job("b"), make_job("c")
+        wf = Workflow(a, workflow_id=1)
+        wf.add_job(b, prior=a.job_id)
+        wf.add_job(c, prior=[a.job_id, b.job_id])      # a diamond is fine
+        again = Job(JobSpec(name="a2"), submit_time=0.0, job_id=a.job_id)
+        with pytest.raises(InvalidDependency, match="dependency cycle"):
+            wf.add_job(again, prior=c.job_id)
+
+    def test_long_chain_builds_without_feeding_the_collector(
+            self, no_collector):
+        """500 ``add_job`` calls: no recursion (a chain this long is
+        half the default recursion limit) and no reference cycle left
+        behind per call."""
+        jobs = [make_job(f"j{i}") for i in range(500)]
+        wf = Workflow(jobs[0], workflow_id=1)
+        for prev, job in zip(jobs, jobs[1:]):
+            wf.add_job(job, prior=prev.job_id)
+        assert gc.collect() == 0
+        assert len(wf.jobs) == 500
+        assert [j.job_id for j in wf.dependents_of(jobs[0].job_id)] \
+            == [j.job_id for j in jobs[1:]]
 
     def test_failure_cancels_dependents_transitively(self):
         wm = WorkflowManager()
