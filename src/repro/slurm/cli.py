@@ -47,8 +47,10 @@ work, MTTR, goodput).
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Optional
 
+from repro.errors import ReproError
 from repro.slurm.policies import available_policies
 from repro.slurm.slurmctld import Slurmctld
 from repro.util.tables import render_table
@@ -526,8 +528,6 @@ def _cmd_sweep(args) -> int:
         WORKLOAD_PRESETS, FleetRunner, SweepMatrix, make_dispatcher,
         parse_axis,
     )
-    from repro.errors import ReproError
-
     if not args.axis:
         raise SystemExit("sweep needs at least one --axis")
     axes = {}
@@ -741,7 +741,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     _build_policies_parser(sub)
     _build_faults_parser(sub)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError, UnicodeDecodeError) as exc:
+        # Bad input (a malformed trace, fault plan or batch script, a
+        # missing or unreadable file) is the user's to fix: one line,
+        # no traceback.
+        print(f"repro-slurm: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":   # pragma: no cover - exercised via main()

@@ -1,7 +1,8 @@
 """Pluggable scheduling policies for slurmctld.
 
-The engine splits what used to be one hard-wired ``BackfillScheduler``
-into three pieces:
+The engine splits what used to be one hard-wired scheduler class (kept
+as the test oracle ``tests/oracles/backfill_reference.py``) into three
+pieces:
 
 * :mod:`repro.slurm.policies.base` — the :class:`SchedulingPolicy`
   interface, :class:`ScheduleDecision`, and the name registry

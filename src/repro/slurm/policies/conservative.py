@@ -14,11 +14,24 @@ stack uses (whole nodes, expected completions from time limits and
 staging E.T.A.s), not a full per-processor availability profile — the
 point is the *policy contrast* with EASY: no job is ever delayed past
 its first promised start, at the cost of fewer backfill opportunities.
+
+A pass costs what it decides, not what is queued.  Once the reservation
+depth is used up a blocked job changes nothing, so the rest of the queue
+matters only if it holds a job that fits *now*.  The fit test for a
+non-pinned job (``nodes <=`` the free nodes promised no earlier than
+``now + time_limit``) is monotone in the time limit, so putting it to
+the shortest pending job of each width (the state's shape index)
+settles it for the whole queue; when none passes, the pass stops.  That
+is exact, not a heuristic: free set and promises change only when the
+pass itself places or reserves, and the question is put again after
+every placement.  Pinned jobs are outside the index: while one is
+pending the pass stops only when no node is free at all.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
+from operator import itemgetter
 from typing import List
 
 from repro.slurm.policies.base import (
@@ -26,6 +39,8 @@ from repro.slurm.policies.base import (
 )
 
 __all__ = ["ConservativeBackfillPolicy"]
+
+_time = itemgetter(0)
 
 
 @register_policy
@@ -38,8 +53,8 @@ class ConservativeBackfillPolicy(SchedulingPolicy):
     def __init__(self, max_reservations: int = 8) -> None:
         #: Reservation-depth cap, as in production conservative
         #: implementations: beyond it, further blocked jobs simply wait
-        #: (and, once the cap is hit with no free node left, the pass
-        #: stops — see :meth:`schedule`).
+        #: (and the pass stops as soon as nothing still queued can
+        #: start — see :meth:`_nothing_fits`).
         self.max_reservations = max_reservations
 
     def schedule(self, state, now: float) -> List[ScheduleDecision]:
@@ -52,13 +67,15 @@ class ConservativeBackfillPolicy(SchedulingPolicy):
         deadline: dict = {}         # promised node -> earliest start
         safe = ordered              # free nodes nobody was promised
         borrow: List[float] = []    # sorted deadlines of the other free
-        #: (start + holder's time limit, nodes) per blocked job, in
-        #: priority order: the synthetic release events later
-        #: reservations stack behind.
-        releases: List[tuple] = []
-        events = None   # completion timeline, lazily built once
+        reservations = 0
+        # Availability timeline, built at the first reservation and
+        # carried from there: ``[end, nodes]`` per running job, soonest
+        # first, then one ``(release, nodes)`` per reservation made.
+        timeline = None
+        holder: dict = {}       # unpromised busy node -> its timeline entry
+        may_fit = False     # the exit was asked, and something may fit
 
-        for job in state.eligible(now):
+        for job in state.iter_eligible(now):
             spec = job.spec
             # A job may start on unpromised nodes, or borrow promised
             # ones it vacates (``end``) before their earliest promise;
@@ -77,44 +94,67 @@ class ConservativeBackfillPolicy(SchedulingPolicy):
                 nodes = self.pick(job, pool, state.selector)
                 free.discard_many(nodes)
                 decisions.append(ScheduleDecision(
-                    job, tuple(nodes), backfilled=bool(releases)))
+                    job, tuple(nodes), backfilled=bool(reservations)))
                 ordered = free.sorted()
-            elif len(releases) < self.max_reservations:
+            elif reservations < self.max_reservations:
                 # Blocked (or placement would break a promise): reserve.
-                if events is None:
+                if timeline is None:
                     # Drained/down nodes never come back on their own,
                     # so they must not underwrite a start-time promise.
-                    events = self.completion_events(
-                        now, state.running_jobs(), exclude=state.unavailable)
-                # Nodes promised to earlier reservations are consumed
-                # the moment their running job releases them, so (a)
-                # drop them from this shadow's starting set (``safe``)
-                # and completion events, and (b) hand them back via a
-                # synthetic release event when the promised job's time
-                # limit expires.  (Overlapping promises can still
-                # release optimistically early; an early reservation
-                # start only makes backfill *stricter*, so no promised
-                # job is ever delayed by the approximation.)
-                timeline = []
-                for t, held in events:
-                    keep = [n for n in held if n not in deadline]
-                    if keep:
-                        timeline.append((t, keep))
-                timeline += releases
-                timeline.sort(key=lambda e: e[0])
+                    timeline = [[t, list(held)] for t, held in
+                                self.completion_events(
+                                    now, state.running_jobs(),
+                                    exclude=state.unavailable)]
+                    holder = {n: e for e in timeline for n in e[1]}
                 start, reserved = self.shadow(job, now, safe, timeline)
                 reserved = tuple(sorted(reserved))
-                releases.append((start + spec.time_limit, reserved))
+                reservations += 1
+                # Nodes promised to a reservation are consumed the
+                # moment their running job releases them, so (a) they
+                # leave later shadows' starting set (``safe``) and
+                # completion events, and (b) come back via a synthetic
+                # release event when the promised job's time limit
+                # expires; equal times read completions first, then
+                # releases in priority order.  (Overlapping promises
+                # can still release optimistically early; an early
+                # reservation start only makes backfill *stricter*, so
+                # no promised job is ever delayed by the approximation.)
+                insort(timeline, (start + spec.time_limit, reserved),
+                       key=_time)
                 for n in reserved:
-                    deadline[n] = min(start, deadline.get(n, start))
-            elif ordered:
-                continue
+                    # A node promised before is back through a release
+                    # event, after its first promise: that one stands.
+                    if n not in deadline:
+                        deadline[n] = start
+                        entry = holder.pop(n, None)
+                        if entry is not None:
+                            entry[1].remove(n)
+                            if not entry[1]:
+                                timeline.remove(entry)
             else:
-                # Blocked, the reservation depth used up and no free
-                # node left: every later job is in the same position (a
-                # job needs >= 1 node, pinned or not), so the rest of
-                # the queue cannot change the outcome.
-                break
+                # Blocked with the reservation depth used up: the job
+                # waits, and so does the rest of the queue unless it
+                # holds something that fits.
+                if not may_fit:
+                    if self._nothing_fits(state, now, len(ordered), borrow):
+                        break
+                    may_fit = True
+                continue
             safe = [n for n in ordered if n not in deadline]
             borrow = sorted(deadline[n] for n in ordered if n in deadline)
+            may_fit = False     # the pass changed its state: ask again
         return decisions
+
+    @staticmethod
+    def _nothing_fits(state, now: float, n_free: int,
+                      borrow: List[float]) -> bool:
+        """True when no pending job can start on the ``n_free`` working
+        free nodes, ``borrow`` being the sorted promises on them."""
+        if not n_free:
+            return True     # a job needs >= 1 node, pinned or not
+        if state.pinned_pending:
+            return False
+        for nodes, limit in state.shortest_by_width(n_free):
+            if nodes <= n_free - bisect_left(borrow, now + limit):
+                return False
+        return True

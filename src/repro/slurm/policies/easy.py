@@ -4,8 +4,9 @@ The highest-priority blocked job gets a reservation (its *shadow time*
 computed from running jobs' expected completions, which include staging
 E.T.A.s); lower-priority jobs may start only if they fit on
 non-reserved nodes or finish before the shadow time.  Decision-for-
-decision identical to the pre-engine ``BackfillScheduler`` default, so
-default-policy replay output is byte-stable across the refactor.
+decision identical to the pre-engine scheduler, which survives as the
+test oracle ``tests/oracles/backfill_reference.py``
+(``tests/test_easy_parity.py`` holds this pass to it).
 
 The pass exposes three override hooks (queue order, reservation start,
 backfill completion estimate) so variants like the staging-aware
@@ -51,44 +52,40 @@ class EasyBackfillPolicy(SchedulingPolicy):
         decisions: List[ScheduleDecision] = []
         reserved_until: Optional[float] = None
         reserved_nodes: set[str] = set()
-        # Running-job completion times, computed lazily on the first
-        # blocked job: EASY takes a single reservation, so at most once.
-        completions: Optional[list] = None
+        # Sorted views of the working free set, refreshed only when a
+        # placement takes nodes: a candidate that does not start costs
+        # no sort.
+        ordered = free.sorted()
+        outside = ordered       # the free nodes outside the reservation
 
         for job in self.order(state, now):
-            if reserved_until is None:
-                if self.fits(job, free):
-                    nodes = self.pick(job, free.sorted(), state.selector)
-                    free.discard_many(nodes)
-                    decisions.append(ScheduleDecision(job, tuple(nodes)))
-                else:
+            if not self.fits(job, free):
+                if reserved_until is None:
                     # Head job blocked: compute its reservation
                     # (drained/down nodes never become available).
-                    if completions is None:
-                        completions = self.completion_events(
-                            now, state.running_jobs(),
-                            exclude=state.unavailable)
+                    completions = self.completion_events(
+                        now, state.running_jobs(), exclude=state.unavailable)
                     reserved_until, reserved_nodes = self.shadow(
-                        job, now, free.sorted(), completions)
+                        job, now, ordered, completions)
                     reserved_until = self.reservation_start(
                         state, job, now, reserved_until)
-            else:
+                    outside = [n for n in ordered if n not in reserved_nodes]
+                continue
+            pool = ordered
+            if reserved_until is not None:
                 # Backfill: must not delay the reservation.
-                if not self.fits(job, free):
-                    continue
-                candidate = [n for n in free.sorted()
-                             if n not in reserved_nodes]
-                fits_outside = self.fits(job, candidate)
+                fits_outside = self.fits(job, outside)
                 finishes_in_time = (
                     self.backfill_completion(state, job, now)
                     <= reserved_until)
                 if fits_outside:
-                    nodes = self.pick(job, candidate, state.selector)
-                elif finishes_in_time:
-                    nodes = self.pick(job, free.sorted(), state.selector)
-                else:
+                    pool = outside
+                elif not finishes_in_time:
                     continue
-                free.discard_many(nodes)
-                decisions.append(ScheduleDecision(job, tuple(nodes),
-                                                  backfilled=True))
+            nodes = self.pick(job, pool, state.selector)
+            free.discard_many(nodes)
+            decisions.append(ScheduleDecision(
+                job, tuple(nodes), backfilled=reserved_until is not None))
+            ordered = free.sorted()
+            outside = [n for n in ordered if n not in reserved_nodes]
         return decisions

@@ -23,7 +23,7 @@ class FifoPolicy(SchedulingPolicy):
     def schedule(self, state, now: float) -> List[ScheduleDecision]:
         free = state.free.copy()
         decisions: List[ScheduleDecision] = []
-        for job in state.eligible(now):
+        for job in state.iter_eligible(now):     # lazy: stops at the break
             if not self.fits(job, free):
                 break
             nodes = self.pick(job, free.sorted(), state.selector)

@@ -14,6 +14,11 @@ dominate the simulation.
   (``base + age_weight * (now - ref)``), so the relative order of two
   jobs never changes as time advances and a static sort key
   (``base - age_weight * ref``) indexes the queue once, for good.
+* a **shape index** beside it — the sorted ``(nodes, time_limit,
+  job_id)`` of every non-pinned pending job, so "the shortest pending
+  job of each width" is a bisect, and a pass that has run out of
+  reservation depth can prove that nothing left in the queue fits and
+  stop (:meth:`shortest_by_width`).
 * an **O(1) free-node set** (:class:`~repro.util.ordered_set
   .OrderedNodeSet`) with deterministic ordered views for placement.
 * a **running map** maintained at allocate/release instead of scanning
@@ -23,15 +28,16 @@ dominate the simulation.
   staging E.T.A.s) so a pass only re-examines what changed.
 
 Policies receive the state read-mostly: they may consume the ordered
-views (:meth:`eligible`, :meth:`running_jobs`, :attr:`free`) but only
-slurmctld mutates it (via :meth:`enqueue` / :meth:`allocate` /
-:meth:`release` / :meth:`dequeue`).
+views (:meth:`iter_eligible` or its list :meth:`eligible`,
+:meth:`running_jobs`, :attr:`free`) but only slurmctld mutates it (via
+:meth:`enqueue` / :meth:`allocate` / :meth:`release` / :meth:`dequeue`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Dict, List, Optional
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.slurm.job import Job, JobState
 from repro.util.ordered_set import OrderedNodeSet
@@ -54,8 +60,12 @@ class SchedulerState:
         self.free = OrderedNodeSet(free_nodes)
         #: sorted (static key, job) pairs — the priority-indexed queue.
         self._pending: List[tuple] = []
-        #: job_id -> the key used at enqueue time (stable for removal
-        #: even if the workflow graph changes afterwards).
+        #: sorted (nodes, time_limit, job_id) of the non-pinned pending
+        #: jobs: the shortest job of a width is the first of its run.
+        self._shapes: List[tuple] = []
+        #: job_id -> (queue key, shape or None when pinned) as used at
+        #: enqueue time (stable for removal even if the workflow graph
+        #: changes afterwards).
         self._keys: Dict[int, tuple] = {}
         self._running: Dict[int, Job] = {}
         #: workflow jobs whose data-aware hints are already computed.
@@ -92,22 +102,30 @@ class SchedulerState:
     def enqueue(self, job: Job) -> None:
         """Add a newly submitted job to the pending queue."""
         key = self.sort_key(job)
-        self._keys[job.job_id] = key
+        spec = job.spec
+        shape = None
+        if not spec.nodelist:
+            shape = (spec.nodes, spec.time_limit, job.job_id)
+            insort(self._shapes, shape)
+        self._keys[job.job_id] = (key, shape)
         insort(self._pending, (key, job))
         self._dirty = True
 
     def dequeue(self, job: Job) -> None:
         """Drop a job from the pending queue (cancel / allocation)."""
-        key = self._keys.pop(job.job_id, None)
-        if key is None:
-            return
-        i = bisect_left(self._pending, (key,))
-        while i < len(self._pending) and self._pending[i][0] == key:
-            if self._pending[i][1] is job:
-                del self._pending[i]
-                break
-            i += 1          # pragma: no cover - keys are unique
-        self._dirty = True
+        if job.job_id in self._keys:
+            self._remove(job)
+            self._dirty = True
+
+    def _remove(self, job: Job) -> int:
+        """Drop a queued job's entry, key and shape together; returns
+        the queue position it held."""
+        key, shape = self._keys.pop(job.job_id)
+        i = bisect_left(self._pending, (key,))      # keys are unique
+        del self._pending[i]
+        if shape is not None:
+            del self._shapes[bisect_left(self._shapes, shape)]
+        return i
 
     def allocate(self, job: Job, nodes: tuple[str, ...]) -> None:
         """Apply one schedule decision: queue -> running, nodes taken."""
@@ -172,33 +190,57 @@ class SchedulerState:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def eligible(self, now: float) -> List[Job]:
-        """Dependency-satisfied pending jobs, best-priority first.
+    def iter_eligible(self, now: float) -> Iterator[Job]:
+        """Dependency-satisfied pending jobs, best-priority first, lazily.
 
-        Entries whose job left the PENDING state behind our back (e.g.
-        workflow cancel-on-failure) are pruned lazily here, so the
+        A policy that stops early (``break``) does not pay for the rest
+        of the queue.  Entries whose job left the PENDING state behind
+        our back (e.g. workflow cancel-on-failure) are pruned as the
+        walk meets them — queue entry, key and shape together — so the
         queue self-heals without every cancellation path having to know
-        about the scheduler.
+        about the scheduler.  The state must not be mutated while a walk
+        is being consumed.
         """
-        out: List[Job] = []
-        stale: List[Job] = []
+        pending = self._pending
         # Only workflow jobs have dependencies or data hints to look at.
         workflows = self.workflows
-        for _key, job in self._pending:
-            if job.state is not JobState.PENDING:
-                stale.append(job)
-                continue
-            if workflows is not None and job.workflow_id is not None:
-                if not self._runnable(job):
-                    continue
-                self._refresh_hints(job)
-            out.append(job)
-        if stale:
-            for job in stale:
-                self._keys.pop(job.job_id, None)
-            self._pending = [e for e in self._pending
-                             if e[1].state is JobState.PENDING]
-        return out
+        start = 0
+        while True:
+            for _key, job in islice(pending, start, None):
+                if job.state is not JobState.PENDING:
+                    break
+                if workflows is not None and job.workflow_id is not None:
+                    if not self._runnable(job):
+                        continue
+                    self._refresh_hints(job)
+                yield job
+            else:
+                return
+            start = self._remove(job)   # stale: prune, resume there
+
+    def eligible(self, now: float) -> List[Job]:
+        """:meth:`iter_eligible` as a list, for passes that read it all."""
+        return list(self.iter_eligible(now))
+
+    @property
+    def pinned_pending(self) -> int:
+        """Pending jobs with a ``nodelist`` (outside the shape index)."""
+        return len(self._keys) - len(self._shapes)
+
+    def shortest_by_width(self, widest: int) -> Iterator[tuple]:
+        """``(nodes, time_limit)`` of the shortest non-pinned pending job
+        of each width up to ``widest``, narrowest first.
+
+        The witness may be stale or not yet runnable: good enough to
+        prove that *no* pending job of a width passes a test that is
+        monotone in the time limit, not that one does.
+        """
+        shapes = self._shapes
+        i = 0
+        while i < len(shapes) and shapes[i][0] <= widest:
+            nodes, limit, _job_id = shapes[i]
+            yield nodes, limit
+            i = bisect_left(shapes, (nodes + 1,), i)
 
     def running_jobs(self) -> List[Job]:
         """Active jobs (submission order) for shadow-time computation."""
@@ -222,7 +264,7 @@ class SchedulerState:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    # Both helpers are for workflow jobs only; eligible() filters.
+    # Both helpers are for workflow jobs only; iter_eligible() filters.
     def _runnable(self, job: Job) -> bool:
         return self.workflows.workflow(job.workflow_id) \
             .is_runnable(job.job_id)

@@ -127,6 +127,9 @@ def parse_jsonl(text: str, name: str = "jsonl") -> Trace:
             raise TraceError(f"line {lineno}: expected a JSON object")
         if "meta" in obj:
             meta = obj["meta"]
+            if not isinstance(meta, dict):
+                raise TraceError(
+                    f"line {lineno}: 'meta' must be a JSON object")
             name = meta.get("name", name)
             comments.extend(meta.get("comments", ()))
             continue

@@ -12,8 +12,8 @@ Additions insert in place (bisect); removals only mark the cached list
 stale, and the next ordered view compacts it with a single O(n) filter
 — no re-sort ever happens after construction.
 
-Shared by the legacy :class:`~repro.slurm.scheduler.BackfillScheduler`
-and the :class:`~repro.slurm.policies.SchedulerState` engine.
+The free-node bookkeeping of :class:`~repro.slurm.policies
+.SchedulerState` and of every policy's working copy of it.
 """
 
 from __future__ import annotations

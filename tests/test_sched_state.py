@@ -1,7 +1,8 @@
 """Unit tests for the incremental scheduler state and its ordered-set
-helper (the O(1) free-node bookkeeping shared with BackfillScheduler)."""
+helper (the O(1) free-node bookkeeping every policy works on)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.slurm.job import Job, JobSpec, JobState, StageDirective
 from repro.slurm.policies import SchedulerState
@@ -175,6 +176,106 @@ class TestPendingQueue:
         first.allocated_nodes = ("n9",)   # memoized: no recompute
         state.eligible(3.0)
         assert dep.data_hints == ("n1", "n2")
+
+
+    def test_hints_are_computed_when_the_walk_yields_the_job(self):
+        wm = WorkflowManager()
+        first = job("first", submit=0.0, workflow_start=True)
+        wm.place_job(first)
+        first.allocated_nodes = ("n1", "n2")
+        first.set_state(JobState.COMPLETED)
+        dep = job("dep", submit=1.0,
+                  workflow_prior_dependency=first.job_id)
+        wm.place_job(dep)
+        vip = job("vip", submit=1.0, prio=100.0)
+        state = make_state(workflows=wm)
+        state.enqueue(dep)
+        state.enqueue(vip)
+        walk = state.iter_eligible(2.0)
+        assert next(walk) is vip
+        assert dep.data_hints == ()     # lazy: the walk is not there yet
+        assert next(walk) is dep
+        assert dep.data_hints == ("n1", "n2")
+
+    def test_an_abandoned_walk_keeps_what_it_pruned(self):
+        state = make_state()
+        jobs = [job(f"j{i}", nodes=1 + i % 2) for i in range(6)]
+        for j in jobs:
+            state.enqueue(j)
+        jobs[0].set_state(JobState.CANCELLED)
+        jobs[4].set_state(JobState.CANCELLED)
+        walk = state.iter_eligible(0.0)
+        assert next(walk) is jobs[1]    # met and pruned jobs[0] only
+        del walk
+        assert state.pending_count == 5
+        assert jobs[0].job_id not in state._keys
+        assert jobs[4].job_id in state._keys
+        assert len(state._shapes) == 5
+
+
+#: (operation, a number the operation draws its choices from).
+OPS = st.lists(st.tuples(
+    st.sampled_from(("enqueue", "enqueue", "enqueue", "pinned", "dequeue",
+                     "allocate", "release", "cancel", "half_walk", "walk")),
+    st.integers(0, 10 ** 6)), max_size=80)
+
+
+class TestShapeIndex:
+    def test_shortest_job_of_each_width(self):
+        state = make_state()
+        for nodes, limit in ((2, 300.0), (1, 50.0), (2, 100.0), (4, 9.0),
+                             (1, 50.0), (1, 70.0)):
+            state.enqueue(job(nodes=nodes, limit=limit))
+        state.enqueue(job(nodes=3, limit=1.0, nodelist=("a", "b", "c")))
+        assert list(state.shortest_by_width(4)) == \
+            [(1, 50.0), (2, 100.0), (4, 9.0)]
+        assert list(state.shortest_by_width(3)) == [(1, 50.0), (2, 100.0)]
+        assert list(state.shortest_by_width(0)) == []
+        assert state.pinned_pending == 1    # outside the index
+
+    @settings(max_examples=200, deadline=None)
+    @given(OPS)
+    def test_index_follows_the_queue_through_any_history(self, ops):
+        state = make_state(free=[f"n{i}" for i in range(8)])
+        queued, stale, running = [], [], []
+        for op, r in ops:
+            if op == "enqueue":
+                queued.append(job(nodes=1 + r % 4, submit=float(r % 7),
+                                  limit=50.0 * (1 + r % 3)))
+                state.enqueue(queued[-1])
+            elif op == "pinned":
+                queued.append(job(nodes=1, nodelist=(f"n{r % 8}",)))
+                state.enqueue(queued[-1])
+            elif op == "release":
+                if running:
+                    state.release(running.pop(r % len(running)))
+            elif op == "half_walk":
+                walk = state.iter_eligible(10.0)
+                for _ in range(r % 5):
+                    next(walk, None)
+                del walk
+            elif op == "walk":
+                assert state.eligible(10.0) == sorted(
+                    queued, key=state.sort_key)
+                stale.clear()       # a full walk prunes them all
+            elif not queued:
+                continue
+            elif op == "dequeue":
+                state.dequeue(queued.pop(r % len(queued)))
+            elif op == "allocate":
+                running.append(queued.pop(r % len(queued)))
+                state.allocate(running[-1], ())
+                running[-1].set_state(JobState.RUNNING)
+            elif op == "cancel":        # behind the scheduler's back
+                stale.append(queued.pop(r % len(queued)))
+                stale[-1].set_state(JobState.CANCELLED)
+
+            entries = [j for _key, j in state._pending]
+            assert state._shapes == sorted(
+                (j.spec.nodes, j.spec.time_limit, j.job_id)
+                for j in entries if not j.spec.nodelist)
+            assert state.pending_count == len(state._keys)
+            assert set(queued) <= set(entries) <= set(queued) | set(stale)
 
 
 class TestAllocateRelease:

