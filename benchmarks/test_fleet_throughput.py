@@ -21,8 +21,8 @@ a >= 1.6x gate; the full setting runs the 8-way policy × fault sweep
 at 4 workers and gates >= 3x.
 
 The recorded wall time (``BENCH_fleet.json``) is the *pool* execution;
-``extra_info`` carries serial/pool walls and the speedup so the
-trajectory file keeps the scaling history.
+``extra_info`` carries serial/pool walls and the speedup, so the
+artifact records the scaling.
 """
 
 from __future__ import annotations

@@ -20,7 +20,8 @@ drives N short flows with arrivals interleaved with completions over
 
 Wall time and ``Simulator.event_count`` are recorded per engine so the
 speedup of the incremental engine over :class:`ReferenceFlowScheduler`
-is tracked release over release.  At the 1k size the incremental
+(the oracle in ``tests/oracles/flows_reference.py``) is tracked release
+over release.  At the 1k size the incremental
 engine's work counters are also pinned exactly: an optimisation of the
 fill must do the same allocations, the same number of times.
 
@@ -34,8 +35,8 @@ import os
 
 import pytest
 
-from repro.sim import (CapacityConstraint, FlowScheduler,
-                       ReferenceFlowScheduler, Simulator)
+from repro.sim import CapacityConstraint, FlowScheduler, Simulator
+from tests.oracles.flows_reference import ReferenceFlowScheduler
 
 N_NODES = 64
 MESH_NODES = 32

@@ -4,9 +4,9 @@ The event kernel is under every other subsystem: at replay scale each
 job submission, heartbeat, RPC frame, flow completion and retry timer
 is one calendar entry, and a 100k-job trace replay dispatches millions
 of events.  This benchmark drives both kernels — the flattened-calendar
-fast path (:class:`FastSimulator`, the default) and the tuple-heap
-oracle (:class:`ReferenceSimulator`) — through a replay-shaped mixed
-churn workload of ~1M events:
+:class:`~repro.sim.core.Simulator` and the tuple-heap oracle
+(:class:`ReferenceSimulator`, ``tests/oracles/kernel_reference.py``) —
+through a replay-shaped mixed churn workload of ~1M events:
 
 * **arrival storm** — 500k quantized timeouts pre-scheduled up front,
   exactly how :class:`~repro.traces.replay.TraceReplayer` loads a
@@ -39,12 +39,13 @@ import time
 
 import pytest
 
-from repro.sim import FastSimulator, ReferenceSimulator, Store
+from repro.sim import Simulator, Store
+from tests.oracles.kernel_reference import ReferenceSimulator
 
 QUICK = bool(os.environ.get("KERNEL_BENCH_QUICK"))
 #: scale=125_000 yields ~1.0M dispatched events (see test assertions).
 SCALE = 31_250 if QUICK else 125_000
-KERNELS = {"fast": FastSimulator, "reference": ReferenceSimulator}
+KERNELS = {"fast": Simulator, "reference": ReferenceSimulator}
 #: the CI gate: fast kernel must beat the oracle by this factor.
 MIN_SPEEDUP = 3.0
 
@@ -191,7 +192,7 @@ def test_kernel_speedup_gate():
 def test_compaction_bounds_calendar():
     """Cancel-heavy churn actually triggers compaction and keeps the
     honest pending count (not the raw calendar size) as the live load."""
-    sim = FastSimulator()
+    sim = Simulator()
 
     def churner(iters):
         handle = None

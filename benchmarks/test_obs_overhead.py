@@ -17,12 +17,11 @@ The ``repro.obs`` contracts this gate enforces:
   its deterministic half — same report, same event count on the same
   workload — always runs.
 * **Deterministic exports** — the Chrome trace bytes are identical
-  across repeated runs, across ``REPRO_KERNEL=reference``, and across
-  both wire modes.
+  across repeated runs, on the seed kernel oracle and with real frame
+  bytes on every hop (both from ``tests/oracles/``).
 
 ``OBS_BENCH_QUICK=1`` (CI) trims the overhead workload; CI publishes
-the results as the ``BENCH_obs.json`` artifact and folds them into
-``BENCH_trajectory.json``.
+the results as the ``BENCH_obs.json`` artifact.
 """
 
 from __future__ import annotations
@@ -31,46 +30,22 @@ import gc
 import hashlib
 import os
 import pathlib
-import subprocess
-import sys
 import time
 
 import pytest
 
+import repro.cluster.builder
 from repro.cluster import build, replay_scale, small_test
 from repro.traces import (
     ReplayConfig, SynthesisConfig, TraceReplayer, synthesize,
 )
 from repro.util.units import GB
+from tests.oracles.kernel_reference import ReferenceSimulator
+from tests.oracles.wire_reference import bytes_frames
 
 QUICK = bool(os.environ.get("OBS_BENCH_QUICK"))
 GOLDEN = pathlib.Path(__file__).parent.parent / "tests" / "data" / \
     "replay_golden_default.txt"
-
-_EXPORT_SCRIPT = r"""
-import hashlib, sys
-sys.path.insert(0, {src!r})
-from repro.cluster import build, small_test
-from repro.obs import chrome_trace
-from repro.traces import (
-    ReplayConfig, SynthesisConfig, TraceReplayer, synthesize,
-)
-from repro.util.units import GB
-
-cfg = SynthesisConfig(n_jobs=40, arrival="diurnal",
-                      mean_interarrival=12.0, max_nodes=2,
-                      mean_runtime=120.0, staged_fraction=0.3,
-                      stage_bytes_mean=1 * GB, stage_files=2)
-trace = synthesize(cfg, seed=7)
-handle = build(small_test(n_nodes=4), seed=7)
-tracer = handle.enable_tracing()
-TraceReplayer(handle, trace,
-              ReplayConfig(time_compression=4.0)).run()
-tracer.close_open()
-body = chrome_trace(tracer).encode()
-print(hashlib.sha256(body).hexdigest())
-"""
-
 
 def golden_trace():
     """Same synthesis as tests/test_policy_replay.py (the golden run)."""
@@ -104,15 +79,6 @@ def export_hash() -> str:
     _, _, tracer = golden_replay(traced=True)
     from repro.obs import chrome_trace
     return hashlib.sha256(chrome_trace(tracer).encode()).hexdigest()
-
-
-def subprocess_export_hash(**env_overrides) -> str:
-    src = str(pathlib.Path(__file__).parent.parent / "src")
-    env = dict(os.environ, **env_overrides)
-    out = subprocess.run(
-        [sys.executable, "-c", _EXPORT_SCRIPT.format(src=src)],
-        capture_output=True, text=True, check=True, env=env)
-    return out.stdout.strip()
 
 
 def test_disabled_tracing_byte_identical_to_golden(benchmark):
@@ -223,13 +189,16 @@ def test_enabled_tracing_overhead_under_3pct(benchmark):
         f"{len(out['ratios'])} ABBA blocks)")
 
 
-def test_exported_trace_bytes_deterministic(benchmark):
-    """Chrome trace bytes: repeat runs, reference kernel, both wire
-    modes — all the same sha256."""
+def test_exported_trace_bytes_deterministic(benchmark, monkeypatch):
+    """Chrome trace bytes: repeat runs, reference kernel, real frame
+    bytes — all the same sha256."""
     first = benchmark.pedantic(export_hash, rounds=1, iterations=1)
     assert export_hash() == first, "trace bytes differ run to run"
-    reference = subprocess_export_hash(REPRO_KERNEL="reference")
+    with bytes_frames():
+        bytes_mode = export_hash()
+    assert bytes_mode == first, "trace bytes differ with real frame bytes"
+    monkeypatch.setattr(repro.cluster.builder, "Simulator",
+                        ReferenceSimulator)
+    reference = export_hash()
     assert reference == first, "trace bytes differ on reference kernel"
-    bytes_mode = subprocess_export_hash(REPRO_WIRE_MODE="bytes")
-    assert bytes_mode == first, "trace bytes differ in bytes wire mode"
     benchmark.extra_info["trace_sha256"] = first

@@ -19,8 +19,7 @@ Three guarantees the ``repro.resilience`` layer makes:
   byte for byte, with nonzero retry / breaker / heartbeat counters.
 
 ``RESILIENCE_BENCH_QUICK=1`` (CI) trims the overhead workload; CI
-publishes the results as the ``BENCH_resilience.json`` artifact and
-folds them into ``BENCH_trajectory.json``.
+publishes the results as the ``BENCH_resilience.json`` artifact.
 """
 
 from __future__ import annotations

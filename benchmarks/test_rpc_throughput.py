@@ -8,9 +8,10 @@ per-class codec plans (replacing per-field virtual dispatch) and lazy
 :class:`~repro.wire.frames.WireFrame` envelopes that skip
 serialization entirely unless a consumer touches raw bytes.
 
-Three benchmarks track the gain release over release, each in both wire
-modes (``bytes`` = full-fidelity serialization, ``fast`` = lazy
-frames):
+Three benchmarks track the gain release over release, each on both
+frame paths (``fast`` = the lazy frames of ``repro.wire``, ``bytes`` =
+real bytes on every hop, ``bytes_frames()`` from
+``tests/oracles/wire_reference.py``):
 
 * **request churn** — the wire path of one request/response pair
   (message build, frame build, frame open, both directions) at volume;
@@ -48,8 +49,9 @@ from repro.norns.resources import memory_region, posix_path
 from repro.norns.task import IOTask, TaskStats
 from repro.norns.urd import GID_NORNS_USER
 from repro.sim.primitives import all_of
-from repro.wire import make_frame, messages, open_frame, set_wire_mode
+from repro.wire import encode_frame, make_frame, messages, open_frame
 from repro.wire import norns_proto as proto
+from tests.oracles.wire_reference import bytes_frames
 
 QUICK = bool(os.environ.get("RPC_BENCH_QUICK"))
 MODES = ["bytes", "fast"]
@@ -57,20 +59,20 @@ MODES = ["bytes", "fast"]
 _USER = Credentials(uid=1000, gid=100, groups=frozenset({GID_NORNS_USER}))
 
 
-@contextlib.contextmanager
-def wire_mode(mode: str):
-    previous = set_wire_mode(mode)
-    try:
-        yield
-    finally:
-        set_wire_mode(previous)
+#: the frame builder the benchmark's own senders use on each path
+FRAME = {"bytes": encode_frame, "fast": make_frame}
+
+
+def frame_path(mode: str):
+    """The stack's frame path for ``mode``: real bytes or lazy frames."""
+    return bytes_frames() if mode == "bytes" else contextlib.nullcontext()
 
 
 # ---------------------------------------------------------------------------
 # Scenario drivers (deterministic, no RNG)
 # ---------------------------------------------------------------------------
 
-def run_request_churn(n_requests: int) -> float:
+def run_request_churn(n_requests: int, frame=make_frame) -> float:
     """One fig4-style request/response pair per iteration, wire work only.
 
     Builds the submit request (two resource descriptors, realistic
@@ -88,12 +90,12 @@ def run_request_churn(n_requests: int) -> float:
                 kind=proto.KIND_POSIX_PATH, nsid="tmp0://",
                 path=f"/scratch/job91000/proc7/out_{i:06d}.dat"),
             pid=7, priority=0, admin=False)
-        assert open_frame(reg, make_frame(reg, request)).pid == 7
+        assert open_frame(reg, frame(reg, request)).pid == 7
         response = proto.TaskStatusResponse(
             error_code=proto.ERR_SUCCESS, task_id=i, status="running",
             bytes_total=1 << 20, bytes_moved=i & 0xFFFF,
             eta_seconds=0.5, elapsed_seconds=0.125)
-        assert open_frame(reg, make_frame(reg, response)).task_id == i
+        assert open_frame(reg, frame(reg, response)).task_id == i
     return n_requests / (time.perf_counter() - t0)
 
 
@@ -144,7 +146,8 @@ def run_local_rps(n_procs: int, requests_per_proc: int) -> dict:
             "counters": (sim.event_count, node.urd.requests_served)}
 
 
-def run_remote_rps(n_clients: int, requests_per_client: int) -> dict:
+def run_remote_rps(n_clients: int, requests_per_client: int,
+                   frame=make_frame) -> dict:
     """fig5-style remote churn through Mercury ``norns.submit``.
 
     Each client node frames one administrative submit, then polls the
@@ -165,11 +168,11 @@ def run_remote_rps(n_clients: int, requests_per_client: int) -> dict:
                 kind=proto.KIND_POSIX_PATH, nsid="tmp0://",
                 path=f"/bench/remote/{idx}.dat"),
             pid=0, admin=True)
-        raw = yield ep.call(target, "norns.submit", make_frame(reg, submit))
+        raw = yield ep.call(target, "norns.submit", frame(reg, submit))
         task_id = open_frame(reg, raw).task_id
         for _ in range(requests_per_client):
             poll = proto.IotaskStatusRequest(task_id=task_id, pid=0)
-            raw = yield ep.call(target, "norns.submit", make_frame(reg, poll))
+            raw = yield ep.call(target, "norns.submit", frame(reg, poll))
             open_frame(reg, raw)
 
     t0 = time.perf_counter()
@@ -221,7 +224,7 @@ REMOTE = QUICK_REMOTE if QUICK else (4, 1_000)
 
 #: ``(sim.event_count, requests_served | rpcs_served)`` of the two RPS
 #: scenarios at their quick sizes, measured on commit 184644b — the
-#: same in both wire modes.  Any drift means a request schedules
+#: same on both frame paths.  Any drift means a request schedules
 #: different events than it did.
 PINNED_QUICK = {
     "local": (24139, 3008),
@@ -234,8 +237,7 @@ def test_request_churn_throughput(benchmark, mode):
     out = {}
 
     def once():
-        with wire_mode(mode):
-            out["rps"] = run_request_churn(N_CHURN)
+        out["rps"] = run_request_churn(N_CHURN, FRAME[mode])
         return out["rps"]
 
     benchmark.pedantic(once, rounds=1, iterations=1)
@@ -251,7 +253,7 @@ def test_local_rps(benchmark, mode):
     out = {}
 
     def once():
-        with wire_mode(mode):
+        with frame_path(mode):
             out["rps"] = run_local_rps(n_procs, per_proc)["rps"]
         return out["rps"]
 
@@ -268,8 +270,9 @@ def test_remote_rps(benchmark, mode):
     out = {}
 
     def once():
-        with wire_mode(mode):
-            out["rps"] = run_remote_rps(n_clients, per_client)["rps"]
+        with frame_path(mode):
+            out["rps"] = run_remote_rps(n_clients, per_client,
+                                        FRAME[mode])["rps"]
         return out["rps"]
 
     benchmark.pedantic(once, rounds=1, iterations=1)
@@ -283,10 +286,10 @@ def test_remote_rps(benchmark, mode):
 def test_work_counters_pinned(mode):
     """Exact, machine-independent: the request path may get cheaper per
     event, but not schedule, drop or add one."""
-    with wire_mode(mode):
+    with frame_path(mode):
         assert run_local_rps(*QUICK_LOCAL)["counters"] \
             == PINNED_QUICK["local"]
-        assert run_remote_rps(*QUICK_REMOTE)["counters"] \
+        assert run_remote_rps(*QUICK_REMOTE, FRAME[mode])["counters"] \
             == PINNED_QUICK["remote"]
 
 
@@ -298,8 +301,8 @@ def test_construct_validate_churn(benchmark):
 
     benchmark.pedantic(once, rounds=1, iterations=1)
     benchmark.extra_info["n_messages_per_class"] = N_CHURN // 4
-    for name, per_sec in out.items():     # flat: the trajectory fold
-        benchmark.extra_info[f"{name}_per_sec"] = per_sec  # keeps numbers
+    for name, per_sec in out.items():     # flat: one number per key
+        benchmark.extra_info[f"{name}_per_sec"] = per_sec
     slowest = min(out, key=out.get)
     print(f"\n  construct+validate: {len(out)} classes, slowest "
           f"{slowest} {out[slowest]:,.0f}/s, fastest "
@@ -313,8 +316,8 @@ def test_construct_validate_churn(benchmark):
 def _best_of(fn, mode: str, rounds: int = 2) -> float:
     best = 0.0
     for _ in range(rounds):
-        with wire_mode(mode):
-            best = max(best, fn())
+        with frame_path(mode):
+            best = max(best, fn(FRAME[mode]))
     return best
 
 
@@ -335,14 +338,19 @@ def test_fastpath_speedup_floors():
     BENCH_rpc.json.
     """
     churn_n = N_CHURN // 2
-    wire_ratio = (_best_of(lambda: run_request_churn(churn_n), "fast")
-                  / _best_of(lambda: run_request_churn(churn_n), "bytes"))
-    local_ratio = (
-        _best_of(lambda: run_local_rps(2, 1_000)["rps"], "fast")
-        / _best_of(lambda: run_local_rps(2, 1_000)["rps"], "bytes"))
-    remote_ratio = (
-        _best_of(lambda: run_remote_rps(2, 250)["rps"], "fast")
-        / _best_of(lambda: run_remote_rps(2, 250)["rps"], "bytes"))
+
+    def churn(frame):
+        return run_request_churn(churn_n, frame)
+
+    def local(_frame):
+        return run_local_rps(2, 1_000)["rps"]
+
+    def remote(frame):
+        return run_remote_rps(2, 250, frame)["rps"]
+
+    wire_ratio = _best_of(churn, "fast") / _best_of(churn, "bytes")
+    local_ratio = _best_of(local, "fast") / _best_of(local, "bytes")
+    remote_ratio = _best_of(remote, "fast") / _best_of(remote, "bytes")
     print(f"\n  speedup fast/bytes: wire {wire_ratio:.2f}x, "
           f"local {local_ratio:.2f}x, remote {remote_ratio:.2f}x")
     assert wire_ratio >= 3.0, wire_ratio
@@ -365,12 +373,11 @@ def test_slots_allocation_footprint():
     assert not hasattr(IOTask(task_id=1, task_type=TaskType.REMOVE,
                               src=memory_region(1), dst=None), "__dict__")
 
-    with wire_mode("fast"):
-        tracemalloc.start()
-        before = tracemalloc.get_traced_memory()[0]
-        run_local_rps(1, 500)
-        current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    run_local_rps(1, 500)
+    current, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
     peak_kib = (peak - before) / 1024
     print(f"\n  allocation footprint: peak {peak_kib:,.0f} KiB "
           f"over 500 polls")

@@ -16,7 +16,7 @@ Gate: the checkpointed run's recovery cost (stage resubmissions *and*
 recomputed stage-seconds) is at least 2x smaller.  Both runs are pure
 simulation, so the gate is deterministic; the recorded wall time
 (``BENCH_workflows.json``) is the checkpointed run's execution and
-``extra_info`` carries the savings ratios for the trajectory file.
+``extra_info`` carries the savings ratios.
 
 ``WORKFLOW_BENCH_QUICK=1`` (CI) trims the chain depth.
 """

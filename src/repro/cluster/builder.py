@@ -16,7 +16,6 @@ from repro.net import Credentials, Fabric, LocalSocketHub, MercuryNetwork
 from repro.norns import LocalBackend, SharedBackend, UrdConfig, UrdDaemon, UrdDirectory
 from repro.norns.api.control import NornsCtlClient
 from repro.sim import RngRegistry, Simulator
-from repro.sim.monitor import Monitor
 from repro.slurm import SlurmConfig, Slurmctld, Slurmd
 from repro.storage import BlockDevice, Mount, ParallelFileSystem, PROFILES
 from repro.cluster.spec import ClusterSpec
@@ -50,7 +49,6 @@ class ClusterHandle:
     network: MercuryNetwork
     directory: UrdDirectory
     rng: RngRegistry
-    monitor: Monitor
     pfs: Optional[ParallelFileSystem]
     ctld: Slurmctld
     nodes: Dict[str, NodeHandle] = field(default_factory=dict)
@@ -88,7 +86,6 @@ def build(spec: ClusterSpec, seed: int = 0,
         slurm_config = SlurmConfig(policy=spec.scheduler_policy)
     sim = Simulator()
     rng = RngRegistry(seed)
-    monitor = Monitor(sim)
     fabric = Fabric(sim, core_bandwidth=spec.fabric_core_bandwidth,
                     base_latency=spec.fabric_base_latency)
     names = spec.nodes.node_names()
@@ -103,7 +100,7 @@ def build(spec: ClusterSpec, seed: int = 0,
 
     handle = ClusterHandle(spec=spec, sim=sim, fabric=fabric,
                            network=network, directory=directory, rng=rng,
-                           monitor=monitor, pfs=pfs, ctld=None)  # type: ignore[arg-type]
+                           pfs=pfs, ctld=None)  # type: ignore[arg-type]
 
     slurmds: Dict[str, Slurmd] = {}
     step_pids = itertools.count(10_000)

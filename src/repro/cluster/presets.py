@@ -2,8 +2,8 @@
 
 Every constant tied to a paper-reported number cites the measurement it
 was fitted against; see ``repro/experiments/calibration.py`` for the
-derivations and EXPERIMENTS.md for the resulting paper-vs-measured
-comparison.
+derivations, and run ``python -m repro.experiments.runall`` for the
+resulting paper-vs-measured comparison.
 """
 
 from __future__ import annotations

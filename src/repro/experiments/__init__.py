@@ -3,8 +3,10 @@
 Each module exposes ``run(quick=True, seed=0) -> ExperimentResult``.
 ``quick`` trims repetitions and scale so the whole battery finishes in
 minutes of wall time; the full setting approaches the paper's scale.
-The benchmark suite (``benchmarks/``) regenerates every result and
-EXPERIMENTS.md records paper-vs-measured.
+The benchmark suite (``benchmarks/``) regenerates every result;
+``python -m repro.experiments.runall`` prints each table next to its
+paper-vs-measured comparison against the targets in
+:mod:`repro.experiments.calibration`.
 
 Replay-backed experiments (``policy_ab``, ``resilience``) execute
 through the sweep fleet (:mod:`repro.experiments.fleet`) and accept a

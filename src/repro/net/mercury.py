@@ -61,8 +61,8 @@ class RpcHandle:
 class MercuryEndpoint:
     """One node's attachment to the RPC network (``hg_class`` analogue).
 
-    RPC payloads are opaque to the engine: in the fast wire mode they
-    are lazy :class:`~repro.wire.frames.WireFrame` envelopes, so a
+    RPC payloads are opaque to the engine: they are lazy
+    :class:`~repro.wire.frames.WireFrame` envelopes, so a
     request/response pair crosses the whole RPC path without a single
     byte being serialized.
     """

@@ -58,9 +58,9 @@ class Channel:
 
     ``send`` delivers a payload into the peer's inbox after the hub's
     IPC latency; ``recv`` blocks on the local inbox.  Payloads are
-    opaque — the NORNS APIs pass wire frames, which in the fast wire
-    mode are lazy :class:`~repro.wire.frames.WireFrame` envelopes
-    rather than real bytes, so the channel never forces serialization.
+    opaque — the NORNS APIs pass wire frames, which are lazy
+    :class:`~repro.wire.frames.WireFrame` envelopes rather than real
+    bytes, so the channel never forces serialization.
     A closed channel delivers ``None`` to pending/future ``recv``
     calls, like EOF.
     """
@@ -77,7 +77,7 @@ class Channel:
         self.name = name
         #: span id of the sender's in-flight request (repro.obs trace
         #: context).  Out-of-band metadata: never serialized, so the
-        #: byte-mode wire encodings are unchanged.
+        #: wire encodings are unchanged.
         self.trace_ctx = -1
 
     def send(self, payload: object) -> Event:

@@ -49,7 +49,7 @@ from repro.sim.flows import CapacityConstraint
 from repro.sim.primitives import any_of
 from repro.sim.resources import Resource
 from repro.storage.filesystem import FileContent
-from repro.wire import WirePayload, make_frame, open_frame, wire_mode
+from repro.wire import WirePayload, make_frame, open_frame
 from repro.wire import norns_proto as proto
 
 __all__ = ["UrdConfig", "UrdDaemon", "UrdDirectory", "GID_NORNS",
@@ -94,10 +94,10 @@ def _rpc_span_args(name: str) -> dict:
     return args
 
 
-#: The heartbeat's pong frame, one per wire mode (the mode can change
-#: between runs in one process).  Built on first use and shared: a
-#: frame is immutable once made, and a probe's reply is never mutated.
-_PONGS: Dict[str, WirePayload] = {}
+#: The heartbeat's pong frame, shared by every probe: a frame is
+#: immutable once made, and a probe's reply is never mutated.
+_PONG = make_frame(proto.NORNS_PROTOCOL, proto.GenericResponse(
+    error_code=proto.ERR_SUCCESS, detail="pong"))
 
 
 def error_code_for(exc: BaseException) -> int:
@@ -813,13 +813,7 @@ class UrdDaemon:
 
     def _rpc_ping(self, payload: WirePayload, origin: str) -> WirePayload:
         """Liveness probe for the heartbeat failure detector."""
-        mode = wire_mode()
-        pong = _PONGS.get(mode)
-        if pong is None:
-            pong = _PONGS[mode] = make_frame(
-                proto.NORNS_PROTOCOL, proto.GenericResponse(
-                    error_code=proto.ERR_SUCCESS, detail="pong"))
-        return pong
+        return _PONG
 
     def _decode_remote_file(self, payload: WirePayload) -> proto.RemoteFileRequest:
         msg = open_frame(proto.NORNS_PROTOCOL, payload)

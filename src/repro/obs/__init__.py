@@ -16,7 +16,7 @@ Design invariants:
   with tracing off is byte-identical to one without the layer at all.
 * **Deterministic.**  Span ids are append order, times are sim time,
   snapshots sort canonically — the exported trace is byte-reproducible
-  across repeated runs, both event kernels and both wire modes.
+  across repeated runs and on the kernel and wire oracles.
 * **Per-simulator.**  The tracer rides on the ``Simulator`` instance
   (``sim.tracer``), never on a module global, so fleet runs stay pure
   functions of their RunSpecs.

@@ -8,9 +8,11 @@ integer microseconds of sim time.
 
 Byte determinism is load-bearing (the obs benchmark gates it): events
 are emitted in a canonical sort order, JSON uses ``sort_keys`` with
-compact separators, and nothing kernel- or wire-mode-dependent (event
+compact separators, and nothing kernel- or frame-dependent (event
 counts, wall times) is included — so the exported bytes are identical
-across repeated runs, ``REPRO_KERNEL=reference``, and both wire modes.
+across repeated runs, on the seed kernel oracle and with real frame
+bytes on every hop (``tests/oracles/``;
+``benchmarks/test_obs_overhead.py`` compares the hashes).
 """
 
 from __future__ import annotations

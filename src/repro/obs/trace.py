@@ -10,7 +10,7 @@ plus a ``None`` check when tracing is disabled.
 Determinism: span ids are append order, timestamps are sim time, and
 category filters are fixed at construction — so for a fixed workload
 the recorded trace (and everything exported from it) is identical
-across runs, kernels, and wire modes.
+across runs, and on the kernel and wire oracles of ``tests/oracles/``.
 
 Storage is columnar, not record-per-span: parallel lists for the
 string fields (appends of already-interned pointers), ``array('d')``

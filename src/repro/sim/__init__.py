@@ -18,25 +18,14 @@ Public surface:
   all bandwidth modelling.
 """
 
-from repro.sim.core import (
-    Event,
-    FastSimulator,
-    Process,
-    ReferenceSimulator,
-    Simulator,
-    TimeoutHandle,
-)
+from repro.sim.core import Event, Process, Simulator, TimeoutHandle
 from repro.sim.primitives import Timeout, all_of, any_of
 from repro.sim.resources import Container, Resource, Store
-from repro.sim.flows import Flow, FlowScheduler, CapacityConstraint, \
-    ReferenceFlowScheduler
+from repro.sim.flows import Flow, FlowScheduler, CapacityConstraint
 from repro.sim.rng import RngRegistry
-from repro.sim.monitor import Monitor, Counter, TimeSeries
 
 __all__ = [
     "Simulator",
-    "FastSimulator",
-    "ReferenceSimulator",
     "Event",
     "Process",
     "Timeout",
@@ -47,11 +36,7 @@ __all__ = [
     "Container",
     "Flow",
     "FlowScheduler",
-    "ReferenceFlowScheduler",
     "CapacityConstraint",
     "TimeoutHandle",
     "RngRegistry",
-    "Monitor",
-    "Counter",
-    "TimeSeries",
 ]

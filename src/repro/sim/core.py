@@ -24,33 +24,27 @@ The kernel follows the SimPy execution model, reimplemented from scratch:
   ``flow:wake`` events without growing the calendar on every
   reallocation.
 
-Two kernels share those event/process semantics and differ only in the
-calendar data structure:
+The calendar is a **flat heap of distinct timestamps** over
+per-instant event slabs: scheduling an event is a dict lookup plus a
+deque append (no per-entry ``(time, priority, seq, Event)`` tuple is
+ever allocated), a whole run of same-timestamp events advances ``now``
+once and dispatches in one tight loop, and lazily-deleted entries are
+**compacted** out of the calendar when they outnumber live ones (see
+``COMPACT_MIN_DEFUNCT``).  The insertion order of the slabs *is* the
+sequence number, so the dispatch order is the total ``(time, priority,
+seq)`` order.
 
-* :class:`Simulator` (the default, also exported as ``FastSimulator``)
-  keeps a **flat heap of distinct timestamps** over per-instant event
-  slabs: scheduling an event is a dict lookup plus a deque append (no
-  per-entry ``(time, priority, seq, Event)`` tuple is ever allocated),
-  a whole run of same-timestamp events advances ``now`` once and
-  dispatches in one tight loop, and lazily-deleted entries are
-  **compacted** out of the calendar when they outnumber live ones (see
-  ``COMPACT_MIN_DEFUNCT``).  The insertion order of the slabs *is* the
-  sequence number, so the total order is identical to the reference
-  kernel's.
-* :class:`ReferenceSimulator` is the seed kernel — a single binary
-  heap of ``(time, priority, seq, Event)`` tuples popped one at a
-  time — retained as the parity oracle (the ``ReferenceFlowScheduler``
-  pattern): randomized workloads must produce the identical event
-  order, times and ``event_count`` on both kernels, and the replay
-  golden file must be byte-identical.  Select it for debugging with
-  ``REPRO_KERNEL=reference`` in the environment (read once at import).
-
-The only observable difference is deliberate: the reference kernel
+This is the only kernel.  The seed kernel it replaced — one binary heap
+of ``(time, priority, seq, Event)`` tuples — is kept as a test oracle
+in ``tests/oracles/kernel_reference.py``; ``tests/test_kernel_parity.py``
+and ``tests/test_sim_core.py`` hold this kernel to its dispatch order,
+times and ``event_count``, and ``tests/test_oracle_goldens.py`` replays
+both golden files on it.  The one deliberate difference: the oracle
 never discards a cancelled entry, so draining it always advances the
-clock over every cancelled instant, while the fast kernel's compaction
-may remove such entries (and their instants) entirely once they
-outnumber live ones.  Calendars smaller than ``COMPACT_MIN_DEFUNCT``
-never compact, so the clock trajectory of small programs is identical.
+clock over every cancelled instant, while compaction here may remove
+such entries (and their instants) entirely.  Calendars smaller than
+``COMPACT_MIN_DEFUNCT`` never compact, so the clock trajectory of small
+programs is identical.
 
 Virtual time is a float in **seconds**.  Nothing in the kernel sleeps on
 the wall clock; a million simulated requests run in however long the
@@ -60,15 +54,12 @@ Python work takes.
 from __future__ import annotations
 
 import heapq
-import itertools
-import os
 from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from repro.errors import Interrupted, InvalidEventState, SimError, SimulationEnded
 
-__all__ = ["Event", "Process", "Simulator", "FastSimulator",
-           "ReferenceSimulator", "TimeoutHandle",
+__all__ = ["Event", "Process", "Simulator", "TimeoutHandle",
            "PENDING", "TRIGGERED", "PROCESSED"]
 
 #: Event lifecycle states.
@@ -81,10 +72,10 @@ PROCESSED = "processed"
 URGENT = 0
 NORMAL = 1
 
-#: The fast kernel sweeps lazily-deleted entries out of the calendar
-#: when they outnumber the live ones, but never below this floor:
-#: tiny calendars keep every cancelled entry so the clock trajectory of
-#: small programs is bit-identical to the reference kernel's, and a
+#: The kernel sweeps lazily-deleted entries out of the calendar when
+#: they outnumber the live ones, but never below this floor: tiny
+#: calendars keep every cancelled entry so the clock trajectory of
+#: small programs is bit-identical to the seed kernel's, and a
 #: steady cancel stream against a small live set compacts (an
 #: O(calendar) sweep) at most once per thousand cancels.
 COMPACT_MIN_DEFUNCT = 1024
@@ -377,8 +368,8 @@ class TimeoutHandle:
     marks the underlying calendar entry defunct: the entry remains
     where it is but the simulator skips it in O(1) when it surfaces —
     no callbacks run and it does not count as a processed event.  The
-    fast kernel additionally sweeps defunct entries out of the calendar
-    once they outnumber live ones.  Cancelling an already-fired or
+    simulator sweeps defunct entries out of the calendar once they
+    outnumber live ones.  Cancelling an already-fired or
     already-cancelled timeout is a no-op returning ``False``.
     """
 
@@ -413,7 +404,7 @@ class TimeoutHandle:
 
 
 class Simulator:
-    """The fast event loop: a flat time-keyed calendar of event slabs.
+    """The event loop: a flat time-keyed calendar of event slabs.
 
     The calendar has four parts:
 
@@ -430,14 +421,14 @@ class Simulator:
       same-timestamp events advances :attr:`now` once.
     * ``_urgent_buckets`` — future URGENT entries; practically always
       empty (interrupts are delivered at the current instant) but kept
-      for strict ordering parity with the reference kernel.
+      for strict ``(time, priority, seq)`` ordering.
 
     Insertion order within a slab is exactly the global sequence-number
-    order the reference kernel's ``(time, priority, seq)`` tuples
+    order the seed kernel's ``(time, priority, seq)`` tuples
     encode — an entry lands in a future bucket only while ``now`` is
     strictly earlier, so bucket entries always precede same-instant
     ``_due`` arrivals — which is what keeps replay output byte-identical
-    across kernels.
+    to the seed kernel's.
 
     ``run()`` pops events in order, advancing :attr:`now` and invoking
     callbacks, until the calendar empties, a deadline passes, or an
@@ -607,7 +598,7 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled entry, ``inf`` if none.
 
-        Like the reference kernel, this includes lazily-deleted entries
+        This includes lazily-deleted entries
         that have not been compacted away yet — use :meth:`stats` for
         the honest live count.
         """
@@ -897,141 +888,6 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self.now} pending={self.pending_count}>"
-
-
-class ReferenceSimulator(Simulator):
-    """The seed kernel: one binary heap of ``(time, priority, seq, Event)``.
-
-    Retained verbatim as the parity oracle for the fast calendar —
-    randomized workloads must produce the identical event order, times
-    and ``event_count`` on both kernels.  It never compacts, so every
-    cancelled entry still advances the clock when its instant is
-    reached.  Select it as the default kernel with
-    ``REPRO_KERNEL=reference``.
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = float(start)
-        self._heap: List[tuple] = []
-        self._seq = itertools.count()
-        self._event_count = 0
-        self._defunct_pending = 0
-        self._defunct_skips = 0
-        self._compactions = 0  # the oracle never compacts ...
-        self._compact_at = float("inf")  # ... so the check never fires
-        self.tracer = None
-
-    # -- scheduling ---------------------------------------------------
-    def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
-        heapq.heappush(self._heap,
-                       (self.now + delay, priority, next(self._seq), event))
-
-    def timeout(self, delay: float, value: Any = None, name: str = "") -> Event:
-        """An event that fires ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimError(f"negative timeout {delay!r}")
-        ev = Event(self, name)
-        ev.succeed(value, delay=delay)
-        return ev
-
-    def cancellable_timeout(self, delay: Optional[float] = None, *,
-                            at: Optional[float] = None, value: Any = None,
-                            name: str = "") -> TimeoutHandle:
-        """A timeout that can be revoked; returns a :class:`TimeoutHandle`."""
-        if (delay is None) == (at is None):
-            raise SimError("cancellable_timeout needs exactly one of "
-                           "delay= or at=")
-        when = self.now + delay if at is None else float(at)
-        if when < self.now:
-            raise SimError(f"cancellable timeout at {when} lies in the past "
-                           f"(now={self.now})")
-        ev = Event(self, name or f"cancellable({when})")
-        ev._ok = True
-        ev._value = value
-        ev._state = TRIGGERED
-        heapq.heappush(self._heap, (when, NORMAL, next(self._seq), ev))
-        return TimeoutHandle(ev)
-
-    # -- execution ----------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next scheduled entry, ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one calendar entry."""
-        if not self._heap:
-            raise SimulationEnded("event calendar is empty")
-        when, _prio, _seq, event = heapq.heappop(self._heap)
-        if when < self.now:  # pragma: no cover - defensive
-            raise SimError("event scheduled in the past")
-        self.now = when
-        self._dispatch_one(event)
-
-    def run(self, until: Any = None) -> Any:
-        """Run the simulation (see :meth:`Simulator.run`)."""
-        if until is None:
-            while self._heap:
-                self.step()
-            return None
-        if isinstance(until, Event):
-            return self._run_until_event(until)
-        deadline = float(until)
-        if deadline < self.now:
-            raise SimError(f"until={deadline} lies in the past (now={self.now})")
-        while self._heap and self._heap[0][0] <= deadline:
-            self.step()
-        self.now = deadline
-        return None
-
-    def _run_until_event(self, ev: Event) -> Any:
-        done: List[Event] = []
-        ev.add_callback(done.append)
-        while not done:
-            if not self._heap:
-                raise SimulationEnded(
-                    f"calendar drained before {ev!r} fired"
-                )
-            self.step()
-        if ev._ok:
-            return ev._value
-        raise ev._value
-
-    # -- lazy-deletion bookkeeping ------------------------------------
-    def _pending_total(self) -> int:
-        return len(self._heap)
-
-    # -- internal fast paths -------------------------------------------
-    def _post_now(self, event: Event, value: Any) -> None:
-        """See :meth:`Simulator._post_now` (heap-entry flavour)."""
-        event._ok = True
-        event._value = value
-        event._state = TRIGGERED
-        heapq.heappush(self._heap, (self.now, NORMAL, next(self._seq), event))
-
-    def stats(self) -> Dict[str, Any]:
-        out = super().stats()
-        out["kernel"] = "reference"
-        out["compactions"] = 0
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ReferenceSimulator now={self.now} pending={self.pending_count}>"
-
-
-#: Explicit aliases: the default ``Simulator`` is the fast kernel unless
-#: ``REPRO_KERNEL=reference`` is in the environment at import time.
-FastSimulator = Simulator
-
-
-def kernel_from_env(value: Optional[str]) -> type:
-    """Map a ``REPRO_KERNEL`` setting to a kernel class."""
-    return (ReferenceSimulator
-            if (value or "").strip().lower() == "reference"
-            else FastSimulator)
-
-
-if kernel_from_env(os.environ.get("REPRO_KERNEL")) is ReferenceSimulator:
-    Simulator = ReferenceSimulator  # type: ignore[misc]  # noqa: F811
 
 
 def iter_processes(sim: Simulator, gens: Iterable[Generator]) -> list[Process]:

@@ -20,10 +20,7 @@ from repro.wire.messages import (
     repeated, enum, bool_,
 )
 from repro.wire.registry import MessageRegistry, encode_frame, decode_frame
-from repro.wire.frames import (
-    WIRE_MODE_BYTES, WIRE_MODE_FAST, WireFrame, WirePayload, frame_bytes,
-    frame_size, make_frame, open_frame, set_wire_mode, wire_mode,
-)
+from repro.wire.frames import WireFrame, WirePayload, make_frame, open_frame
 
 __all__ = [
     "encode_varint", "decode_varint", "encode_zigzag", "decode_zigzag",
@@ -32,7 +29,5 @@ __all__ = [
     "Message", "Field", "uint64", "sint64", "double", "string", "bytes_",
     "submessage", "repeated", "enum", "bool_",
     "MessageRegistry", "encode_frame", "decode_frame",
-    "WIRE_MODE_FAST", "WIRE_MODE_BYTES", "WireFrame", "WirePayload",
-    "wire_mode", "set_wire_mode", "make_frame", "open_frame",
-    "frame_bytes", "frame_size",
+    "WireFrame", "WirePayload", "make_frame", "open_frame",
 ]

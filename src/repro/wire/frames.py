@@ -1,4 +1,4 @@
-"""Lazy zero-copy frame envelopes — the wire fast path.
+"""Lazy zero-copy frame envelopes — the wire path.
 
 Every simulated NORNS request used to round-trip real serialized bytes:
 client ``encode_frame`` -> urd ``decode_frame`` -> urd ``encode_frame``
@@ -6,66 +6,33 @@ client ``encode_frame`` -> urd ``decode_frame`` -> urd ``encode_frame``
 on the payload bytes (IPC and RPC latencies are per-message constants),
 so at replay scale the codec work is pure wall-clock overhead.
 
-This module introduces :class:`WireFrame`: an envelope that carries the
-message object itself plus enough registry metadata to know its exact
-on-wire size, materializing real bytes only when a consumer touches the
-raw payload.  Two modes are selectable (``REPRO_WIRE_MODE`` env var or
-:func:`set_wire_mode`):
+:func:`make_frame` therefore returns a :class:`WireFrame`: an envelope
+that carries the message object itself plus enough registry metadata
+to know its exact on-wire size, materializing real bytes only when a
+consumer touches the raw payload.  :func:`open_frame` on it hands back
+the carried message with zero codec work; ``len(frame)`` and
+``materialize()`` lazily produce the exact length and the identical
+bytes on demand, memoized.  :func:`open_frame` also decodes raw frame
+bytes, so a hop may carry either.
 
-* ``fast`` (default) — :func:`make_frame` returns a :class:`WireFrame`;
-  :func:`open_frame` on it hands back the carried message with zero
-  codec work.  ``len(frame)``/``materialize()`` lazily produce the
-  exact length / the identical bytes on demand, memoized.
-* ``bytes`` — the full-fidelity mode: :func:`make_frame` is
-  :func:`~repro.wire.registry.encode_frame` and every hop moves real
-  bytes, exactly like the seed implementation.
-
-Parity between the modes — byte-identical frames, identical sizes and a
-byte-identical replay golden file — is enforced by
-``tests/test_wire_fastpath.py`` and the wire fuzz suite.
+This is the only frame path.  The full-bytes path it replaced — every
+hop moving ``encode_frame`` output — is kept as a test oracle,
+``bytes_frames()`` in ``tests/oracles/wire_reference.py``;
+``tests/test_wire_fastpath.py`` and ``tests/test_oracle_goldens.py``
+hold the two paths to byte-identical frames, identical sizes and
+byte-identical golden replays.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Union
 
-from repro.errors import UnknownMessageError, WireError
+from repro.errors import UnknownMessageError
 from repro.wire.messages import Message
 from repro.wire.registry import MessageRegistry, decode_frame, encode_frame
 from repro.wire.varint import varint_size
 
-__all__ = ["WIRE_MODE_FAST", "WIRE_MODE_BYTES", "WIRE_MODE_ENV",
-           "wire_mode", "set_wire_mode", "WireFrame", "WirePayload",
-           "make_frame", "open_frame", "frame_bytes", "frame_size"]
-
-WIRE_MODE_FAST = "fast"
-WIRE_MODE_BYTES = "bytes"
-WIRE_MODE_ENV = "REPRO_WIRE_MODE"
-_VALID_MODES = (WIRE_MODE_FAST, WIRE_MODE_BYTES)
-
-
-def _validated(mode: str) -> str:
-    if mode not in _VALID_MODES:
-        raise WireError(f"unknown wire mode {mode!r}; "
-                        f"expected one of {_VALID_MODES}")
-    return mode
-
-
-_mode = _validated(os.environ.get(WIRE_MODE_ENV, WIRE_MODE_FAST))
-
-
-def wire_mode() -> str:
-    """The active frame mode: ``"fast"`` or ``"bytes"``."""
-    return _mode
-
-
-def set_wire_mode(mode: str) -> str:
-    """Select the frame mode; returns the previous one (for restores)."""
-    global _mode
-    previous = _mode
-    _mode = _validated(mode)
-    return previous
+__all__ = ["WireFrame", "WirePayload", "make_frame", "open_frame"]
 
 
 class WireFrame:
@@ -83,7 +50,7 @@ class WireFrame:
     framing it.  The frame validates at construction and memoizes its
     size and bytes on first use, and the receiver gets the very same
     object — mutation after send would be visible on the far side
-    (bytes mode would have snapshotted) and could make ``len(frame)``
+    (real bytes would have been a snapshot) and could make ``len(frame)``
     disagree with a later ``materialize()``.
     """
 
@@ -94,9 +61,9 @@ class WireFrame:
         self.message = message
         self.message_id = registry.id_of(type(message))
         # Eager validation: a message encode_frame would reject raises
-        # the identical WireEncodeError here, so the two modes fail the
-        # sender identically.  Sizes stay lazy — validation needs no
-        # string encoding, which is what makes the fast path fast.
+        # the identical WireEncodeError here.  Sizes stay lazy —
+        # validation needs no string encoding, which is what keeps
+        # framing cheap.
         message.validate()
         self._size = -1
         self._bytes: bytes | None = None
@@ -128,28 +95,24 @@ class WireFrame:
                 f"{type(self.message).__name__})")
 
 
-#: Annotation alias for values that cross a channel/RPC hop: real frame
-#: bytes in the ``bytes`` mode, a lazy envelope in ``fast`` mode.
+#: Annotation alias for values that cross a channel/RPC hop: a lazy
+#: envelope, or real frame bytes (which :func:`open_frame` decodes).
 WirePayload = Union[bytes, "WireFrame"]
 
 
-def make_frame(registry: MessageRegistry, message: Message) -> WirePayload:
-    """Mode-aware frame builder: bytes in fidelity mode, lazy otherwise.
+def make_frame(registry: MessageRegistry, message: Message) -> WireFrame:
+    """Frame ``message`` lazily (see :class:`WireFrame`).
 
-    Both modes validate the message fields here (bytes mode by
-    encoding, fast mode through the class's generated ``validate()``,
-    which needs no sizes and no string encoding), so invalid messages
-    fail identically at the sender.
-    The message must not be mutated after this call — see
-    :class:`WireFrame`.
+    Validates the message fields here through the class's generated
+    ``validate()``, which needs no sizes and no string encoding, so an
+    invalid message fails at the sender exactly as ``encode_frame``
+    would fail it.  The message must not be mutated after this call.
     """
-    if _mode == WIRE_MODE_BYTES:
-        return encode_frame(registry, message)
     return WireFrame(registry, message)
 
 
 def open_frame(registry: MessageRegistry, frame) -> Message:
-    """Mode-agnostic frame reader: returns the message.
+    """Frame reader: returns the message.
 
     Accepts either real frame bytes (decoded through the registry) or a
     :class:`WireFrame` (zero-copy: the carried message is returned
@@ -163,15 +126,3 @@ def open_frame(registry: MessageRegistry, frame) -> Message:
         return frame.message
     message, _ = decode_frame(registry, frame)
     return message
-
-
-def frame_bytes(frame: Union[bytes, WireFrame]) -> bytes:
-    """Real bytes of a frame in either mode."""
-    if type(frame) is WireFrame:
-        return frame.materialize()
-    return frame
-
-
-def frame_size(frame: Union[bytes, WireFrame]) -> int:
-    """Exact on-wire length of a frame in either mode."""
-    return len(frame)

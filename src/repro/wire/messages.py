@@ -14,20 +14,20 @@ Instances carry plain attributes; ``encode()`` produces protobuf-
 compatible bytes for the declared scalar types, and ``decode()`` round-
 trips them, skipping unknown fields.
 
-Two codec paths exist per class:
+The codec is a **compiled plan** built once at class-definition time:
+it flattens the ordered field list into per-field closures with
+precomputed tag bytes, a shared ``struct.Struct`` for doubles and
+direct varint appends into a single ``bytearray``.  ``encode()``,
+``decode()`` and the exact ``encoded_size()`` run on it, and message
+instances are ``__slots__``-only (no per-instance ``__dict__``).  The
+two methods every request runs, ``__init__`` and ``validate()``, are
+generated per class as straight-line source over the same closures.
 
-* the **compiled plan** — built once at class-definition time, it flat-
-  tens the ordered field list into per-field closures with precomputed
-  tag bytes, a shared ``struct.Struct`` for doubles and direct varint
-  appends into a single ``bytearray``.  ``encode()``, ``decode()`` and
-  the exact ``encoded_size()`` run on this path, and message instances
-  are ``__slots__``-only (no per-instance ``__dict__``).  The two
-  methods every request runs, ``__init__`` and ``validate()``, are
-  generated per class as straight-line source over the same closures;
-* the **interpretive oracle** — the original per-field
-  :class:`FieldType` virtual dispatch, retained as
-  ``encode_oracle()``/``decode_oracle()``.  Parity tests assert the
-  compiled path is byte-identical to it on arbitrary messages.
+This is the only codec.  The original interpretive one — per-field
+:class:`FieldType` virtual dispatch — is kept as a test oracle in
+``tests/oracles/wire_reference.py``; ``tests/test_wire_fuzz.py`` holds
+the compiled plan byte-identical to it on arbitrary and malformed
+messages.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ _PACK_D = struct.Struct("<d").pack
 
 
 class FieldType:
-    """Encode/decode strategy for a single field value (oracle path)."""
+    """Encode/decode strategy for a single field value."""
 
     wire_type: int = enc.WIRETYPE_VARINT
     repeated = False
@@ -335,7 +335,7 @@ def _compile_field(f: Field) -> tuple[Callable, Callable, Callable, Callable]:
     UTF-8 form; ``decode(buf, pos)`` is the tightest per-type reader;
     ``validate(value)`` raises exactly the errors an encode would,
     without computing sizes (no string encoding needed).  All four are
-    byte/semantics-identical to the interpretive oracle.
+    byte/semantics-identical to the per-type :class:`FieldType` methods.
     """
     ft = f.ftype
     inner = ft.inner if isinstance(ft, _Repeated) else ft
@@ -425,8 +425,8 @@ def _compile_field(f: Field) -> tuple[Callable, Callable, Callable, Callable]:
 
         def val_one(v, _check=check):
             _check(v)
-            # Mode parity for unencodable strings (lone surrogates):
-            # bytes mode raises UnicodeEncodeError at the sender, so
+            # Parity for unencodable strings (lone surrogates):
+            # encode_frame raises UnicodeEncodeError at the sender, so
             # validation must too.  ASCII (the hot path) skips the
             # encode attempt entirely.
             if not v.isascii():
@@ -481,7 +481,7 @@ def _compile_field(f: Field) -> tuple[Callable, Callable, Callable, Callable]:
     if not ft.repeated:
         return enc_one, size_one, dec_one, val_one
 
-    # Like the oracle, a repeated field first checks the container and
+    # Like FieldType, a repeated field first checks the container and
     # every item's type, then range-checks item by item, so a list with
     # two bad items fails on the same one on every path.
     check_all = ft.validate
@@ -588,7 +588,6 @@ class Message(metaclass=MessageMeta):
     """
 
     fields: tuple[Field, ...] = ()
-    _by_number: dict[int, Field] = {}
     #: compiled plans, built once per class by ``__init_subclass__``
     #: (which also generates the class's ``__init__`` and ``validate``)
     _enc_plan: tuple = ()
@@ -600,7 +599,6 @@ class Message(metaclass=MessageMeta):
         numbers = [f.number for f in cls.fields]
         if len(set(numbers)) != len(numbers):
             raise WireEncodeError(f"{cls.__name__}: duplicate field numbers")
-        cls._by_number = {f.number: f for f in cls.fields}
         enc_plan, size_plan = [], []
         validators: dict[str, Callable] = {}
         dec_plan: dict[int, tuple] = {}
@@ -664,68 +662,6 @@ class Message(metaclass=MessageMeta):
                 getattr(msg, name).append(value)
             else:
                 setattr(msg, name, value)
-        return msg
-
-    # -- interpretive oracle (parity reference) -------------------------
-    @staticmethod
-    def _oracle_encode_value(ftype: FieldType, value: Any) -> bytes:
-        # Keep the oracle independent of the compiled plan all the way
-        # down: nested messages go through encode_oracle() too, so a
-        # compiled-codec bug in a submessage-only type cannot be
-        # compared against itself by the parity tests.
-        if isinstance(ftype, _Submessage):
-            return enc.encode_len_prefixed(value.encode_oracle())
-        return ftype.encode(value)
-
-    @staticmethod
-    def _oracle_decode_value(ftype: FieldType, buf: bytes,
-                             pos: int) -> tuple[Any, int]:
-        if isinstance(ftype, _Submessage):
-            raw, pos = enc.decode_len_prefixed(buf, pos)
-            return ftype.msg_cls.decode_oracle(raw), pos
-        return ftype.decode(buf, pos)
-
-    def encode_oracle(self) -> bytes:
-        """Original per-field virtual-dispatch encoder, kept as the
-        byte-parity oracle for the compiled plan."""
-        out = bytearray()
-        for f in self.fields:
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if f.ftype.repeated:
-                f.ftype.validate(value)
-                for item in value:
-                    out += enc.encode_tag(f.number, f.ftype.wire_type)
-                    out += self._oracle_encode_value(f.ftype.inner, item)
-            else:
-                f.ftype.validate(value)
-                out += enc.encode_tag(f.number, f.ftype.wire_type)
-                out += self._oracle_encode_value(f.ftype, value)
-        return bytes(out)
-
-    @classmethod
-    def decode_oracle(cls, buf: bytes) -> "Message":
-        """Original interpretive decoder (parity oracle)."""
-        msg = cls()
-        pos = 0
-        n = len(buf)
-        while pos < n:
-            number, wire_type, pos = enc.decode_tag(buf, pos)
-            field = cls._by_number.get(number)
-            if field is None:
-                pos = enc.skip_field(buf, pos, wire_type)
-                continue
-            if wire_type != field.ftype.wire_type:
-                raise WireDecodeError(
-                    f"{cls.__name__}.{field.name}: wire type {wire_type} "
-                    f"!= declared {field.ftype.wire_type}")
-            inner = field.ftype.inner if field.ftype.repeated else field.ftype
-            value, pos = cls._oracle_decode_value(inner, buf, pos)
-            if field.ftype.repeated:
-                getattr(msg, field.name).append(value)
-            else:
-                setattr(msg, field.name, value)
         return msg
 
     # -- conveniences -----------------------------------------------------

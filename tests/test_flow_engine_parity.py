@@ -1,8 +1,9 @@
 """Equivalence of the incremental flow engine and the global oracle.
 
 The component-partitioned :class:`FlowScheduler` must be behaviourally
-identical to the retained :class:`ReferenceFlowScheduler` (the original
-advance-everything / re-fill-everything algorithm): same completion
+identical to :class:`ReferenceFlowScheduler` (the original
+advance-everything / re-fill-everything algorithm, kept in
+``tests/oracles/flows_reference.py``): same completion
 times, same completion *order*, same cancellation outcomes, same byte
 accounting.  These tests sweep randomized workloads — disjoint and
 overlapping constraint sets, rate caps, weights, staggered arrivals and
@@ -18,9 +19,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import (CapacityConstraint, FlowScheduler,
-                       ReferenceFlowScheduler, Simulator)
+from repro.sim import CapacityConstraint, FlowScheduler, Simulator
 from repro.sim.flows import Flow, _Component
+from tests.oracles.flows_reference import ReferenceFlowScheduler, max_min_rates
 
 
 # -- workload generation ----------------------------------------------------
@@ -139,8 +140,8 @@ class TestEngineParity:
 
     def test_allocator_matches_reference_rates(self):
         # The in-place fill (incremental live weights, shared level for
-        # weight-1 flows) must agree with the retained reference
-        # _max_min_rates on a connected set: exactly for integer-valued
+        # weight-1 flows) must agree with the oracle's max_min_rates
+        # on a connected set: exactly for integer-valued
         # weights, to 1e-9 for fractional ones.
         rng = random.Random(7)
         for weights in [(1.0, 2.0, 3.0), (0.5, 1.0, 2.0), (0.3, 1.0, 1.7)]:
@@ -185,7 +186,7 @@ def assert_fill_matches_oracle(caps, specs):
     to 1e-9 otherwise — and carry the max-min certificate."""
     constraints, flows = fill_in_place(caps, specs)
     got = [f.rate for f in flows]
-    want = FlowScheduler._max_min_rates(flows)
+    want = max_min_rates(flows)
     if all(f.weight.is_integer() for f in flows):
         assert got == want
     else:

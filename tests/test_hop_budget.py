@@ -11,19 +11,16 @@ resilience -> urd path at volume, and each is pinned here per operation:
 Event counts are exact and every event is named: a change that adds,
 drops or merges one shows up as a changed name, not just a number.
 Python calls (``sys.setprofile`` ``call`` events, which include
-generator resumptions) are upper bounds at what the fast kernel and the
-lazy wire mode spend today; a change may lower them, not raise them.
+generator resumptions) are upper bounds at what the kernel and the lazy
+wire frames spend today; a change may lower them, not raise them.
 Nothing here reads a clock.  The README's "What one control-plane
 operation costs" table is this file in prose.
 """
 
 from __future__ import annotations
 
-import contextlib
 import sys
 from collections import Counter
-
-import pytest
 
 from repro.cluster import build, nextgenio, replay_scale
 from repro.net.mercury import _deliver_response
@@ -31,8 +28,8 @@ from repro.net.sockets import Credentials
 from repro.norns import NornsClient, TaskType
 from repro.norns.resources import memory_region, posix_path
 from repro.norns.urd import GID_NORNS_USER
-from repro.sim import FastSimulator, Process, Simulator, Store
-from repro.wire import make_frame, open_frame, set_wire_mode
+from repro.sim import Process, Store
+from repro.wire import make_frame, open_frame
 from repro.wire import norns_proto as proto
 
 USER = Credentials(uid=1000, gid=100, groups=frozenset({GID_NORNS_USER}))
@@ -52,8 +49,7 @@ UNIX_POLL_EVENTS = ("request hop", "server inbox put", "server inbox get",
                     "accept", "urd service", "response hop",
                     "client inbox put", "client inbox get")
 
-#: Upper bounds on Python calls per operation (fast kernel, lazy wire
-#: frames), at what they cost since the hop path was flattened; before,
+#: Upper bounds on Python calls per operation, at what they cost since the hop path was flattened; before,
 #: a probe cost 93, a Mercury poll 100 and an AF_UNIX poll 84.
 PROBE_CALLS = 39
 MERCURY_POLL_CALLS = 63
@@ -142,15 +138,6 @@ def python_calls(run) -> int:
     return calls
 
 
-@contextlib.contextmanager
-def lazy_frames():
-    previous = set_wire_mode("fast")
-    try:
-        yield
-    finally:
-        set_wire_mode(previous)
-
-
 def per_op(names: list[str], ops: int) -> Counter:
     """The event-name multiset one operation contributes."""
     counts = Counter(names)
@@ -166,9 +153,8 @@ def calls_per_op(measure, size: int) -> float:
     between sizes ``size`` and ``2 * size`` drops what a run costs once
     (starting the client, ``run()`` itself).
     """
-    with lazy_frames():
-        calls, ops = measure(size)
-        calls2, ops2 = measure(2 * size)
+    calls, ops = measure(size)
+    calls2, ops2 = measure(2 * size)
     assert ops2 > ops > 0
     return (calls2 - calls) / (ops2 - ops)
 
@@ -179,11 +165,6 @@ def poll_calls(poller):
         sim, poll = poller(polls)
         return python_calls(lambda: sim.run(sim.process(poll()))), polls
     return measure
-
-
-needs_fast_kernel = pytest.mark.skipif(
-    Simulator is not FastSimulator,
-    reason="call budgets are the fast kernel's (REPRO_KERNEL=reference)")
 
 
 # -- heartbeat probe -------------------------------------------------------
@@ -233,7 +214,6 @@ def test_probe_dispatch_order():
     assert dispatched(sim, sim.now + 2.0) == list(PROBE_EVENTS)
 
 
-@needs_fast_kernel
 def test_probe_python_call_budget():
     def measure(rounds):
         handle, names = armed_ring()
@@ -284,10 +264,9 @@ def mercury_poller(polls: int = POLLS):
 
 
 def test_mercury_poll_dispatches_twelve_named_events():
-    with lazy_frames():
-        sim, poll = mercury_poller()
-        sim.process(poll())
-        names = dispatched(sim)
+    sim, poll = mercury_poller()
+    sim.process(poll())
+    names = dispatched(sim)
     assert names[0] == "client boot" and names[-1] == "client exit"
     body = names[1:-1]
     assert len(body) == 12 * POLLS
@@ -295,7 +274,6 @@ def test_mercury_poll_dispatches_twelve_named_events():
     assert per_op(body, POLLS) == Counter(MERCURY_POLL_EVENTS)
 
 
-@needs_fast_kernel
 def test_mercury_poll_python_call_budget():
     assert calls_per_op(poll_calls(mercury_poller), POLLS) \
         <= MERCURY_POLL_CALLS
@@ -333,10 +311,9 @@ def unix_poller(polls: int = POLLS):
 
 
 def test_unix_poll_dispatches_eight_named_events():
-    with lazy_frames():
-        sim, poll = unix_poller()
-        sim.process(poll())
-        names = dispatched(sim)
+    sim, poll = unix_poller()
+    sim.process(poll())
+    names = dispatched(sim)
     assert names[0] == "client boot" and names[-1] == "client exit"
     body = names[1:-1]
     assert len(body) == 8 * POLLS
@@ -344,6 +321,5 @@ def test_unix_poll_dispatches_eight_named_events():
     assert per_op(body, POLLS) == Counter(UNIX_POLL_EVENTS)
 
 
-@needs_fast_kernel
 def test_unix_poll_python_call_budget():
     assert calls_per_op(poll_calls(unix_poller), POLLS) <= UNIX_POLL_CALLS

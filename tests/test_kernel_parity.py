@@ -1,8 +1,8 @@
 """Fast-kernel vs reference-kernel parity and hot-path edge cases.
 
-The flattened-calendar fast kernel (:class:`FastSimulator`) must be
+The flattened-calendar kernel (:class:`Simulator`) must be
 observationally identical to the tuple-heap oracle
-(:class:`ReferenceSimulator`): same dispatch order, same virtual times,
+(:class:`ReferenceSimulator`, ``tests/oracles/kernel_reference.py``): same dispatch order, same virtual times,
 same event counts, for any workload.  These tests drive both kernels
 through randomized mixed workloads and through the specific edge cases
 the fast path restructures (lazy-cancel compaction, batched
@@ -15,9 +15,10 @@ import random
 import pytest
 
 from repro.errors import Interrupted, SimulationEnded
-from repro.sim import FastSimulator, ReferenceSimulator, Store, all_of, any_of
+from repro.sim import Simulator, Store, all_of, any_of
+from tests.oracles.kernel_reference import ReferenceSimulator
 
-KERNELS = [FastSimulator, ReferenceSimulator]
+KERNELS = [Simulator, ReferenceSimulator]
 KERNEL_IDS = ["fast", "reference"]
 
 
@@ -110,7 +111,7 @@ def run_random_workload(sim_cls, seed: int):
 @pytest.mark.parametrize("seed", [1, 7, 42, 1234, 99999])
 def test_randomized_dispatch_parity(seed):
     fast_trace, fast_count, fast_now = run_random_workload(
-        FastSimulator, seed)
+        Simulator, seed)
     ref_trace, ref_count, ref_now = run_random_workload(
         ReferenceSimulator, seed)
     assert fast_trace == ref_trace
@@ -225,7 +226,7 @@ def test_interrupt_while_parked_on_processed_event(sim_cls):
 def test_cancel_compact_fire_ordering():
     """Force a compaction between cancels and later firings: survivors
     must fire at their exact times in their original order."""
-    sim = FastSimulator()
+    sim = Simulator()
     fired = []
     survivors = []
     doomed = []

@@ -12,6 +12,7 @@ The resilience layer's determinism rests on two pillars:
    counter.
 """
 
+import math
 import random
 
 import pytest
@@ -157,10 +158,38 @@ class TestBreakerDeterminism:
             br.record_failure(t)
         assert br.state == OPEN and br.opens == 1
         assert not br.allow(5.0)           # inside the recovery window
-        assert br.allow(13.5)              # trial request admitted
+        due = br.opened_at + br.recovery_timeout
+        assert due == 13.0
+        assert not br.allow(due - 1e-9)    # still open just short of it
+        assert br.state == OPEN
+        assert br.allow(due)               # trial admitted at exactly 13.0
         assert br.state == HALF_OPEN and br.half_opens == 1
         br.record_failure(13.6)            # failed trial: back to open
         assert br.state == OPEN and br.opens == 2
         assert br.allow(24.0)
         br.record_success(24.1)
         assert br.state == CLOSED and br.closes == 1
+
+    @pytest.mark.parametrize("opened_at, recovery", [
+        (0.0, 10.0), (3.0, 10.0), (0.1, 0.2), (1e6, 1e-3),
+    ])
+    def test_half_open_exactly_at_the_recovery_boundary(self, opened_at,
+                                                       recovery):
+        br = CircuitBreaker("n1", failure_threshold=1,
+                            recovery_timeout=recovery)
+        br.record_failure(opened_at)
+        due = opened_at + recovery
+        assert not br.allow(math.nextafter(due, -math.inf))
+        assert br.state == OPEN
+        assert br.allow(due)
+        assert br.state == HALF_OPEN
+
+    def test_failed_trial_restarts_the_window_at_the_failure(self):
+        br = CircuitBreaker("n1", failure_threshold=1,
+                            recovery_timeout=10.0)
+        br.record_failure(0.0)
+        assert br.allow(10.0)
+        br.record_failure(10.5)            # the trial fails late
+        assert not br.allow(math.nextafter(20.5, -math.inf))
+        assert br.allow(20.5)
+        assert br.state == HALF_OPEN and br.half_opens == 2

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import Interrupted, InvalidEventState, SimError, SimulationEnded
 from repro.sim import Simulator
-from repro.sim.core import FastSimulator, ReferenceSimulator
+from tests.oracles.kernel_reference import ReferenceSimulator
 
 
 @pytest.fixture
@@ -380,7 +380,7 @@ class Sentinel:
     """Weakref-able stand-in for whatever a process holds."""
 
 
-@pytest.mark.parametrize("kernel", [FastSimulator, ReferenceSimulator])
+@pytest.mark.parametrize("kernel", [Simulator, ReferenceSimulator])
 class TestProcessIsFreedByRefcount:
     """A finished process must not wait for the cyclic collector: the
     process, its generator frame and its result go the moment the last

@@ -9,8 +9,8 @@ import weakref
 import pytest
 
 from repro.errors import SimError
-from repro.sim import (CapacityConstraint, FlowScheduler,
-                       ReferenceFlowScheduler, Simulator)
+from repro.sim import CapacityConstraint, FlowScheduler, Simulator
+from tests.oracles.flows_reference import ReferenceFlowScheduler
 
 
 @pytest.fixture
@@ -179,6 +179,19 @@ class TestAccounting:
         assert link.active_flows == 2
         assert link.load == pytest.approx(100.0)
         assert link.utilization == pytest.approx(1.0)
+        sim.run()
+        assert sim.now == pytest.approx(20.0)
+        assert link.utilization == 0.0
+
+    def test_utilization_of_dead_link_is_zero(self):
+        link = CapacityConstraint("link", 100.0)
+        link.capacity = 0.0          # drained after construction
+        assert link.utilization == 0.0
+
+    @pytest.mark.parametrize("capacity", [0.0, -1.0])
+    def test_constructor_rejects_nonpositive_capacity(self, capacity):
+        with pytest.raises(SimError, match="positive capacity"):
+            CapacityConstraint("bad", capacity)
 
 
 class Label(str):

@@ -1,17 +1,22 @@
-"""The wire fast path: lazy frames, mode selection, and cross-mode parity.
+"""The wire path: lazy frames, and parity with real frame bytes.
 
-The PR 4 acceptance criteria live here: frames must be byte-identical
-and identically sized between the ``fast`` and ``bytes`` modes, the urd
-must serve identical responses in both, and the replay golden file must
-come out byte-identical regardless of mode.
+Frames must be byte-identical and identically sized to what
+``encode_frame`` produces, reject exactly the messages it rejects, and
+the urd must serve identical responses whether every hop carries lazy
+frames or real bytes (``bytes_frames()``, the oracle in
+``tests/oracles/wire_reference.py``).  The golden replays under both
+frame paths are ``tests/test_oracle_goldens.py``.
 """
 
-import os
+import ast
+import contextlib
+import importlib
 import pathlib
+from functools import partial
 
 import pytest
 
-import test_policy_replay as replay_mod
+import repro.norns.urd
 from repro.errors import UnknownMessageError, WireEncodeError, WireError
 from repro.net.sockets import Credentials, LocalSocketHub
 from repro.norns import NornsClient, TaskType
@@ -19,19 +24,16 @@ from repro.norns.resources import memory_region, posix_path
 from repro.norns.urd import GID_NORNS_USER, UrdConfig, UrdDaemon
 from repro.sim.core import Simulator
 from repro.wire import (
-    WIRE_MODE_BYTES, WIRE_MODE_FAST, MessageRegistry, WireFrame,
-    encode_frame, frame_bytes, frame_size, make_frame, open_frame,
-    set_wire_mode, wire_mode,
+    MessageRegistry, WireFrame, encode_frame, make_frame, open_frame,
 )
-from repro.wire.frames import WIRE_MODE_ENV
 from repro.wire import norns_proto as proto
+from tests.oracles.wire_reference import (
+    FRAME_BUILDERS, bytes_frames, encode_oracle,
+)
 
-
-@pytest.fixture
-def restore_mode():
-    previous = wire_mode()
-    yield
-    set_wire_mode(previous)
+SRC = pathlib.Path(__file__).parent.parent / "src"
+#: the sender-side builders: real bytes, and the lazy frame
+BUILDERS = (encode_frame, make_frame)
 
 
 def sample_messages():
@@ -54,28 +56,63 @@ def sample_messages():
         yield cls()
 
 
-class TestModeSelection:
-    def test_default_mode_is_fast(self):
-        if os.environ.get(WIRE_MODE_ENV):
-            pytest.skip("explicit wire-mode override in the environment")
-        assert wire_mode() == WIRE_MODE_FAST
+class TestBytesFramesOracle:
+    def test_patches_every_module_that_frames_by_name(self):
+        """A module of ``repro`` that imports ``make_frame`` by name and
+        is missing from the oracle's list would keep lazy frames inside
+        ``bytes_frames()``: its hops would never carry real bytes."""
+        importers = {
+            ".".join(path.relative_to(SRC).with_suffix("").parts)
+            for path in SRC.rglob("*.py")
+            if path.parent.name != "wire"        # the re-export itself
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and node.module in ("repro.wire", "repro.wire.frames")
+            and any(a.name == "make_frame" for a in node.names)}
+        assert importers == set(FRAME_BUILDERS)
 
-    def test_set_wire_mode_roundtrip(self, restore_mode):
-        previous = set_wire_mode(WIRE_MODE_BYTES)
-        assert wire_mode() == WIRE_MODE_BYTES
-        assert set_wire_mode(previous) == WIRE_MODE_BYTES
-        assert wire_mode() == previous
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(WireError, match="unknown wire mode"):
-            set_wire_mode("zero-copy-ish")
-
-    def test_make_frame_type_tracks_mode(self, restore_mode):
+    def test_real_bytes_inside_lazy_frames_outside(self):
         msg = proto.CommandRequest(command="ping")
-        set_wire_mode(WIRE_MODE_BYTES)
-        assert isinstance(make_frame(proto.NORNS_PROTOCOL, msg), bytes)
-        set_wire_mode(WIRE_MODE_FAST)
-        assert isinstance(make_frame(proto.NORNS_PROTOCOL, msg), WireFrame)
+        with bytes_frames():
+            assert repro.norns.urd.make_frame is encode_frame
+            assert type(repro.norns.urd._PONG) is bytes
+        assert repro.norns.urd.make_frame is make_frame
+        assert type(repro.norns.urd._PONG) is WireFrame
+        assert type(repro.norns.urd.make_frame(
+            proto.NORNS_PROTOCOL, msg)) is WireFrame
+
+    @pytest.mark.parametrize("name", FRAME_BUILDERS)
+    def test_each_builder_module_switches_and_restores(self, name):
+        module = importlib.import_module(name)
+        assert module.make_frame is make_frame
+        with bytes_frames():
+            assert module.make_frame is encode_frame
+        assert module.make_frame is make_frame
+
+    def test_restored_when_the_block_raises(self):
+        with pytest.raises(RuntimeError):
+            with bytes_frames():
+                raise RuntimeError("boom")
+        assert repro.norns.urd.make_frame is make_frame
+        assert type(repro.norns.urd._PONG) is WireFrame
+
+    def test_nested_blocks_keep_the_outer_one_on_bytes(self):
+        with bytes_frames():
+            with bytes_frames():
+                assert repro.norns.urd.make_frame is encode_frame
+            assert repro.norns.urd.make_frame is encode_frame
+            assert type(repro.norns.urd._PONG) is bytes
+        assert repro.norns.urd.make_frame is make_frame
+        assert type(repro.norns.urd._PONG) is WireFrame
+
+    def test_pong_is_the_same_message_on_both_paths(self):
+        lazy = repro.norns.urd._PONG
+        with bytes_frames():
+            raw = repro.norns.urd._PONG
+        assert len(raw) == len(lazy)
+        assert raw == lazy.materialize()
+        assert open_frame(proto.NORNS_PROTOCOL, raw) \
+            == open_frame(proto.NORNS_PROTOCOL, lazy)
 
 
 class TestWireFrame:
@@ -89,8 +126,6 @@ class TestWireFrame:
         assert frame.payload_size == len(msg.encode())
         assert frame.materialize() == raw
         assert frame.materialize() is frame.materialize()  # memoized
-        assert frame_bytes(frame) == frame_bytes(raw) == raw
-        assert frame_size(frame) == frame_size(raw) == len(raw)
 
     def test_open_frame_is_zero_copy(self):
         msg = proto.CommandRequest(command="ping", args=["a", "b"])
@@ -126,47 +161,43 @@ class TestWireFrame:
         proto.CommandRequest(args=["ok", 3]),            # repeated item type
     ], ids=["neg-uint", "str-uint", "str-double", "nested-u64", "rep-item"])
     def test_invalid_messages_rejected_identically_in_both_modes(
-            self, restore_mode, bad):
-        for mode in (WIRE_MODE_BYTES, WIRE_MODE_FAST):
-            set_wire_mode(mode)
+            self, bad):
+        for build in BUILDERS:
             with pytest.raises(WireError):
-                make_frame(proto.NORNS_PROTOCOL, bad)
+                build(proto.NORNS_PROTOCOL, bad)
 
-    def test_unencodable_string_rejected_identically_in_both_modes(
-            self, restore_mode):
-        # A lone surrogate cannot reach UTF-8; bytes mode raises
-        # UnicodeEncodeError at the sender, and fast-mode validation
+    def test_unencodable_string_rejected_identically_in_both_modes(self):
+        # A lone surrogate cannot reach UTF-8; encode_frame raises
+        # UnicodeEncodeError at the sender, and lazy-frame validation
         # must fail the very same way rather than deferring a raw error
         # into the transport.
         bad = proto.CommandRequest(command="\ud800")
-        for mode in (WIRE_MODE_BYTES, WIRE_MODE_FAST):
-            set_wire_mode(mode)
+        for build in BUILDERS:
             with pytest.raises(UnicodeEncodeError):
-                make_frame(proto.NORNS_PROTOCOL, bad)
+                build(proto.NORNS_PROTOCOL, bad)
 
     def test_oversized_int_in_double_rejected_identically_in_both_modes(
-            self, restore_mode):
-        # An int too large for a float used to pass fast-mode
-        # make_frame (len(frame) == 15) and raise a bare OverflowError
-        # from materialize(); bytes mode raised that OverflowError at
-        # the sender.  Both must fail the sender with the typed error,
-        # from every entry point.
+            self):
+        # An int too large for a float used to pass make_frame
+        # (len(frame) == 15) and raise a bare OverflowError from
+        # materialize(); encode_frame raised that OverflowError at the
+        # sender.  Both must fail the sender with the typed error, from
+        # every entry point.
         bad = proto.SubmitResponse(eta_seconds=10 ** 400)
         errors = set()
-        for mode in (WIRE_MODE_BYTES, WIRE_MODE_FAST):
-            set_wire_mode(mode)
+        for build in BUILDERS:
             with pytest.raises(WireEncodeError) as exc:
-                make_frame(proto.NORNS_PROTOCOL, bad)
+                build(proto.NORNS_PROTOCOL, bad)
             errors.add(str(exc.value))
         for entry in (bad.validate, bad.encoded_size, bad.encode,
-                      bad.encode_oracle):
+                      partial(encode_oracle, bad)):
             with pytest.raises(WireEncodeError) as exc:
                 entry()
             errors.add(str(exc.value))
         assert len(errors) == 1
         # The largest int a double can hold still frames.
         ok = proto.SubmitResponse(eta_seconds=int(1.7976931348623157e308))
-        assert frame_bytes(WireFrame(proto.NORNS_PROTOCOL, ok)) \
+        assert WireFrame(proto.NORNS_PROTOCOL, ok).materialize() \
             == encode_frame(proto.NORNS_PROTOCOL, ok)
 
     def test_message_instances_are_slotted(self):
@@ -176,13 +207,12 @@ class TestWireFrame:
             msg.not_a_field = 1
 
 
-def drive_urd(mode: str):
-    """One client conversation against a live urd in the given mode.
+def drive_urd(frames):
+    """One client conversation against a live urd, inside ``frames()``.
 
     Returns the response tuple and the daemon's served counter, which
-    must be identical across modes."""
-    previous = set_wire_mode(mode)
-    try:
+    must be identical on both frame paths."""
+    with frames():
         sim = Simulator()
         hub = LocalSocketHub(sim)
         urd = UrdDaemon(sim, UrdConfig(node="localhost"), hub)
@@ -205,29 +235,13 @@ def drive_urd(mode: str):
         sim.process(script())
         sim.run()
         return results, urd.requests_served
-    finally:
-        set_wire_mode(previous)
 
 
 class TestCrossModeEquivalence:
     def test_urd_conversation_identical_between_modes(self):
-        fast = drive_urd(WIRE_MODE_FAST)
-        full = drive_urd(WIRE_MODE_BYTES)
+        fast = drive_urd(contextlib.nullcontext)
+        full = drive_urd(bytes_frames)
         assert fast == full
         assert fast[0]["ping"] == "pong"
         assert fast[0]["submit_error"] == "NornsDataspaceNotFound"
 
-
-GOLDEN = pathlib.Path(__file__).parent / "data" / \
-    "replay_golden_default.txt"
-
-
-class TestReplayGoldenBothModes:
-    """The crown parity criterion: replay output is byte-identical to
-    the pre-fast-path golden file in *both* wire modes."""
-
-    @pytest.mark.parametrize("mode", [WIRE_MODE_FAST, WIRE_MODE_BYTES])
-    def test_replay_golden_byte_identical(self, restore_mode, mode):
-        set_wire_mode(mode)
-        report = replay_mod.replay(replay_mod.golden_trace())
-        assert report.to_text() == GOLDEN.read_text()
