@@ -41,6 +41,28 @@ fill walks the adjacency in place, builds no index, and writes
 member rates on read.  Single-flow components (node-local NVM/DCPMM
 transfers, the common case) take a closed form and skip the fill.
 
+Every rate and deadline the fill produces is the same float the
+straightforward round loop would (a last-bit change moves a wake
+instant, and with it the event count), because the fill skips only
+work whose result is already known exactly:
+
+* a one-member constraint whose member has weight 1.0 has
+  ``used == level`` bit for bit (both start at 0.0 and add the same
+  ``delta`` each round), so it keeps no round state: with every weight
+  1.0, its candidate increment is ``cap - level``;
+* IEEE rounding is monotone, so the least such candidate is
+  ``min(cap) - level``, and a round's least ``remaining / level`` over
+  the flows it froze is ``min(remaining) / level``;
+* the saturation test ``cap - level <= 1e-9 * cap`` cannot hold once
+  ``cap > level * (1 + 4e-9)`` (``cap - level`` is then above 3.99e-9
+  of ``cap``, and ``1e-9 * cap`` is within 1e-16 of itself while it is
+  a normal float), so it runs only inside that window of the sorted
+  caps;
+* a constraint with no unfrozen member takes part in no later round.
+
+:meth:`FlowScheduler._fill` gives the details; the former round loop is
+kept verbatim as a test oracle in ``tests/oracles/fill_previous.py``.
+
 This is the only flow engine.  The original global one — advance every
 flow and re-run progressive filling over the full flow set per change —
 is kept as a test oracle in ``tests/oracles/flows_reference.py``;
@@ -53,6 +75,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
+import sys
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import SimError
@@ -62,6 +86,16 @@ __all__ = ["CapacityConstraint", "Flow", "FlowScheduler"]
 
 #: Tolerance for "this constraint is saturated" comparisons.
 _EPS = 1e-9
+
+#: :meth:`FlowScheduler._fill` folds a weight-1 one-member constraint
+#: into the fill level only above this capacity (``_EPS * cap`` is then
+#: a normal float, so its rounding is relative) ...
+_FOLD_MIN = sys.float_info.min / _EPS
+#: ... and runs its saturation test only while ``cap`` is within this
+#: factor of the level; beyond it the test cannot hold.
+_FOLD_WINDOW = 1.0 + 4 * _EPS
+
+_capacity = operator.attrgetter("capacity")
 
 
 class CapacityConstraint:
@@ -600,13 +634,7 @@ class FlowScheduler:
                 next_done = f.remaining / rate
         else:
             self.flows_touched += len(comp.flows)
-            self._fill(comp)
-            for f in comp.flows:
-                r = f.rate
-                if r > 0:
-                    nd = f.remaining / r
-                    if nd < next_done:
-                        next_done = nd
+            next_done = self._fill(comp)
         comp.deadline = now + next_done if not math.isinf(next_done) else math.inf
         comp.ver += 1
         if not math.isinf(comp.deadline):
@@ -623,46 +651,95 @@ class FlowScheduler:
             heapq.heapify(self._deadlines)
 
     @staticmethod
-    def _fill(comp: _Component) -> None:
+    def _fill(comp: _Component) -> float:
         """Weighted progressive filling, in place on one component.
 
         Same fill semantics as the oracle's global progressive fill,
         walked over the component's constraints and their fid-ordered
-        member sets, writing ``Flow.rate`` directly.  Round state lives
-        in scratch slots: per constraint the bandwidth used, and the
-        weight sum and exact count of unfrozen members (decremented as
-        flows freeze, not re-summed every round).
+        member sets, writing ``Flow.rate`` directly; returns the time
+        until the first member completes at those rates (``inf`` if
+        none progresses).  Round state lives in scratch slots: per
+        constraint the bandwidth used, the weight sum of unfrozen
+        members and, when some weight is not 1.0, their exact count
+        (decremented as flows freeze, not re-summed every round).
+
+        Every float operation is the one the straightforward fill (a
+        loop over all constraints per round, then a pass over all flows
+        for the deadline) performs, on the same values; only work whose
+        result is already known exactly is skipped:
+
+        * **Live constraints only.**  A constraint whose members have
+          all frozen takes part in no later round, so each round walks
+          ``live`` and drops such constraints as their last member
+          freezes (order preserved: weighted decrements depend on it).
+        * **One-member constraints ride the fill level.**  When every
+          flow of the component has weight 1.0, a constraint with one
+          member adds ``delta * 1.0`` to its ``used`` in exactly the
+          rounds in which ``level`` adds ``delta``, both from 0.0, so
+          ``used == level`` bit for bit and its candidate is
+          ``cap - level``.  IEEE rounding is monotone, so the smallest
+          candidate is ``min(cap) - level``: the first cap, in ascending
+          order, whose member is still unfrozen.  The saturation test
+          ``cap - level <= 1e-9 * cap`` cannot hold once ``cap`` exceeds
+          ``level * (1 + 4e-9)``: then ``cap - level`` is more than
+          3.99e-9 of ``cap`` (exactly, or within one rounding), while
+          ``1e-9 * cap`` rounds to within 1e-16 of itself as long as it
+          is a normal float (``cap >= _FOLD_MIN``).  So the test runs,
+          in ascending cap order, only up to that window.  Infinite,
+          NaN and sub-``_FOLD_MIN`` capacities stay in ``live``.
+        * **Deadline from each round's frozen batch.**  Every weight-1
+          flow frozen in a round takes ``rate = level``; dividing by
+          the same positive ``level`` is monotone too, so the batch's
+          ``min(remaining) / level`` equals the least per-flow quotient.
+          Weighted flows divide their own rate as they freeze.
         """
         flows = comp.flows
-        cons = comp.constraints
-        for c in cons:
-            n = len(c._flows)
-            c._used = 0.0
-            c._live_n = n
-            c._live_w = float(n)    # exact while every weight is 1.0
-        # Uncapped weight-1 flows all rise by the same additions: they
-        # share ``level`` and take it as their rate when they freeze.
-        # Only the others accumulate a rate of their own per round.
         own = []
+        fold = True
         for f in flows:
             f._frozen = False
             if f.weight != 1.0:
-                for c in f.constraints:
-                    c._live_w = 0.0     # summed exactly in round one
+                fold = False
             elif f.rate_cap is None:
+                # Uncapped weight-1 flows all rise by the same
+                # additions: they share ``level`` and take it as their
+                # rate when they freeze.  Only the others accumulate a
+                # rate of their own per round.
                 continue
             f.rate = 0.0
             own.append(f)
+        live = []
+        ones = []
+        for c in comp.constraints:
+            n = len(c._flows)
+            c._live_w = float(n)    # exact while every weight is 1.0
+            if n == 1 and fold and _FOLD_MIN <= c.capacity < math.inf:
+                ones.append(c)
+            else:
+                c._live_n = n
+                c._used = 0.0
+                live.append(c)
+        if not fold:
+            for f in own:
+                if f.weight != 1.0:
+                    for c in f.constraints:
+                        c._live_w = 0.0     # summed exactly in round one
+        ones.sort(key=_capacity)
+        n_ones = len(ones)
+        top = 0                 # ones[:top] have frozen members
         level = 0.0
         left = len(flows)
+        next_done = math.inf
         # Each round freezes at least one flow (or stops).
         while left:
             # delta is the uniform increment of the *normalized* rate
             # (rate/weight) of all unfrozen flows.
             delta = math.inf
-            for c in cons:
-                if c._live_n <= 0:
-                    continue
+            while top < n_ones and ones[top]._live_w <= 0.0:
+                top += 1
+            if top < n_ones:
+                delta = ones[top].capacity - level
+            for c in live:
                 lw = c._live_w
                 if lw <= 0.0:
                     # Catastrophic cancellation in the decrements (or
@@ -692,12 +769,23 @@ class FlowScheduler:
             level += delta
             # Freeze flows limited by a saturated constraint or their cap.
             froze = []
-            for c in cons:
-                if c._live_n > 0:
-                    lw = c._live_w
-                    if lw > 0:
-                        c._used += delta * lw
-                    if c.capacity - c._used <= _EPS * c.capacity:
+            for c in live:
+                lw = c._live_w
+                if lw > 0:
+                    c._used += delta * lw
+                if c.capacity - c._used <= _EPS * c.capacity:
+                    for f in c._flows:
+                        if not f._frozen:
+                            f._frozen = True
+                            froze.append(f)
+            if top < n_ones:
+                window = level * _FOLD_WINDOW
+                for i in range(top, n_ones):
+                    c = ones[i]
+                    cap = c.capacity
+                    if cap > window:
+                        break
+                    if cap - level <= _EPS * cap:
                         for f in c._flows:
                             if not f._frozen:
                                 f._frozen = True
@@ -712,21 +800,50 @@ class FlowScheduler:
             if not froze:
                 # Numerical guard: nothing progressed; stop here.
                 break
-            for f in froze:
-                w = f.weight
-                if w == 1.0:
+            least = math.inf
+            if fold:
+                # Weight sums are exact counts: ``_live_w`` alone
+                # tracks the unfrozen members.
+                for f in froze:
                     f.rate = level
-                for c in f.constraints:
-                    c._live_w -= w
-                    c._live_n -= 1
+                    if f.remaining < least:
+                        least = f.remaining
+                    for c in f.constraints:
+                        c._live_w -= 1.0
+                live = [c for c in live if c._live_w > 0.0]
+            else:
+                for f in froze:
+                    w = f.weight
+                    if w == 1.0:
+                        f.rate = level
+                        if f.remaining < least:
+                            least = f.remaining
+                    elif f.rate > 0:
+                        d = f.remaining / f.rate
+                        if d < next_done:
+                            next_done = d
+                    for c in f.constraints:
+                        c._live_w -= w
+                        c._live_n -= 1
+                live = [c for c in live if c._live_n > 0]
+            if level > 0:
+                d = least / level
+                if d < next_done:
+                    next_done = d
             left -= len(froze)
             if own:
                 own = [f for f in own if not f._frozen]
         if left:
             # Stopped early: unbounded, or left where the guard stopped.
             for f in flows:
-                if not f._frozen and (f.weight == 1.0 or level == math.inf):
-                    f.rate = level
+                if not f._frozen:
+                    if f.weight == 1.0 or level == math.inf:
+                        f.rate = level
+                    if f.rate > 0:
+                        d = f.remaining / f.rate
+                        if d < next_done:
+                            next_done = d
+        return next_done
 
     # -- wake management -------------------------------------------------
     def _schedule_wake(self) -> None:

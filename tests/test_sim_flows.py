@@ -9,6 +9,7 @@ import weakref
 import pytest
 
 from repro.errors import SimError
+from repro.obs.trace import attach_tracer
 from repro.sim import CapacityConstraint, FlowScheduler, Simulator
 from tests.oracles.flows_reference import ReferenceFlowScheduler
 
@@ -159,6 +160,98 @@ class TestCancel:
         ev = sim.event()
         fs.cancel(ev)  # must not raise
         assert not ev.triggered
+
+    def test_cancel_settles_co_members_at_their_old_rate_first(self, sim,
+                                                                fs):
+        # Three flows at 30 B/s each on a 90 B/s link.  At t=2 the
+        # survivors have 240 B and 840 B left; from then on they get
+        # 45 B/s each, then the long one runs alone at 90 B/s.
+        link = CapacityConstraint("link", 90.0)
+        short = fs.transfer(300.0, [link])
+        doomed = fs.transfer(900.0, [link])
+        long_ = fs.transfer(900.0, [link])
+        doomed.add_callback(lambda e: None)
+        ends = {}
+        short.add_callback(lambda e: ends.setdefault("short", sim.now))
+        long_.add_callback(lambda e: ends.setdefault("long", sim.now))
+
+        def canceller():
+            yield sim.timeout(2.0)
+            fs.cancel(doomed)
+
+        sim.process(canceller())
+        sim.run()
+        assert ends["short"] == pytest.approx(2.0 + 240.0 / 45.0)
+        assert ends["long"] == pytest.approx(2.0 + 240.0 / 45.0
+                                             + 600.0 / 90.0)
+        assert fs.bytes_moved == pytest.approx(1200.0)
+
+
+class TestSetCapacity:
+    def test_degrade_mid_flight_keeps_the_bytes_already_moved(self, sim,
+                                                              fs):
+        # 50 B/s each until t=2 (100 B moved), then 25 B/s each.
+        link = CapacityConstraint("link", 100.0)
+        dones = [fs.transfer(1000.0, [link]) for _ in range(2)]
+
+        def degrade():
+            yield sim.timeout(2.0)
+            fs.set_capacity(link, 50.0)
+
+        sim.process(degrade())
+        sim.run(dones[-1])
+        assert sim.now == pytest.approx(2.0 + 900.0 / 25.0)
+        assert link.capacity == 50.0
+
+    def test_recovery_mid_flight_speeds_flows_up(self, sim, fs):
+        link = CapacityConstraint("link", 10.0)
+        done = fs.transfer(100.0, [link])
+
+        def recover():
+            yield sim.timeout(5.0)
+            fs.set_capacity(link, 50.0)
+
+        sim.process(recover())
+        sim.run(done)
+        assert sim.now == pytest.approx(5.0 + 50.0 / 50.0)
+
+    def test_idle_constraint_takes_the_value_for_the_next_transfer(self,
+                                                                   sim, fs):
+        link = CapacityConstraint("link", 100.0)
+        sim.run(fs.transfer(100.0, [link]))     # attached, then idle again
+        fs.set_capacity(link, 25.0)
+        assert link.capacity == 25.0 and link.active_flows == 0
+        start = sim.now
+        sim.run(fs.transfer(100.0, [link]))
+        assert sim.now - start == pytest.approx(4.0)
+
+    def test_unchanged_or_nonpositive_capacity(self, sim, fs):
+        link = CapacityConstraint("link", 100.0)
+        fs.set_capacity(link, 100.0)
+        assert link.capacity == 100.0
+        with pytest.raises(SimError, match="positive capacity"):
+            fs.set_capacity(link, 0.0)
+
+
+class TestFlowSpans:
+    def test_span_ends_where_the_flow_ends_or_is_cancelled(self, sim, fs):
+        tracer = attach_tracer(sim, ["flow"])
+        link = CapacityConstraint("link", 100.0)
+        doomed = fs.transfer(1000.0, [link], label="doomed")
+        kept = fs.transfer(400.0, [link], label="kept")
+        doomed.add_callback(lambda e: None)
+
+        def canceller():
+            yield sim.timeout(2.0)
+            fs.cancel(doomed)
+
+        sim.process(canceller())
+        sim.run(kept)
+        spans = {name: (t0, t1, args["status"])
+                 for _sid, _parent, cat, name, _track, t0, t1, args
+                 in tracer.spans if cat == "flow"}
+        assert spans == {"doomed": (0.0, 2.0, "cancelled"),
+                         "kept": (0.0, pytest.approx(5.0), "finished")}
 
 
 class TestAccounting:
