@@ -25,8 +25,11 @@ over release.  At the 1k size the incremental
 engine's work counters are also pinned exactly: an optimisation of the
 fill must do the same allocations, the same number of times.
 
-Set ``FLOW_BENCH_QUICK=1`` (the CI quick mode) to bench the incremental
-engine at the 1k size only.
+Set ``FLOW_BENCH_QUICK=1`` to bench the incremental engine at the 1k
+size only.  The oracle runs and the 10k runs assert only that every flow
+completes; they carry the ``fullsize`` marker, which ``pytest.ini``
+deselects by default (the CI flow-engine step selects it back with
+``-m "fullsize or not fullsize"``).
 """
 
 from __future__ import annotations
@@ -44,11 +47,13 @@ QUICK = bool(os.environ.get("FLOW_BENCH_QUICK"))
 SIZES = [1000] if QUICK else [1000, 10000]
 ENGINES = {"incremental": FlowScheduler,
            "reference": ReferenceFlowScheduler}
-ENGINE_NAMES = ["incremental"] if QUICK else ["incremental", "reference"]
+FULLSIZE = pytest.mark.fullsize
+ENGINE_NAMES = ["incremental"] if QUICK else [
+    "incremental", pytest.param("reference", marks=FULLSIZE)]
 # The mesh runs at 1k only: its arrivals outpace its drain, so at 10k
 # the backlog (not the component shape) is what would be measured.
-CASES = [(t, n) for t in ("disjoint", "shared") for n in SIZES] \
-    + [("mesh", 1000)]
+CASES = [pytest.param(t, n, marks=FULLSIZE) if n > 1000 else (t, n)
+         for t in ("disjoint", "shared") for n in SIZES] + [("mesh", 1000)]
 
 #: (event_count, alloc_count, flows_touched) of the incremental engine
 #: at 1000 flows, measured on commit f4c205d (PR 11, before the in-place

@@ -58,7 +58,31 @@ work whose result is already known exactly:
   of ``cap``, and ``1e-9 * cap`` is within 1e-16 of itself while it is
   a normal float), so it runs only inside that window of the sorted
   caps;
-* a constraint with no unfrozen member takes part in no later round.
+* a constraint with no unfrozen member takes part in no later round;
+* a constraint that provably never binds takes part in no round at
+  all.  Each flow caches ``_ub``, the least of its ``rate_cap`` and the
+  capacities on its path, and no fill rate exceeds it (beyond
+  round-off): the constraint that sets it stays in the fill.  So with
+  ``U`` the largest ``_ub`` of a weight-1 component, a constraint with
+  ``n`` members and a finite ``cap >= _FOLD_MIN`` such that
+  ``n * U < cap * (1 - _PRUNE_MARGIN)`` neither saturates nor supplies
+  a round's least increment, and is pruned: in the bulk-transfer mesh
+  that is every NIC and the fabric core, where only the per-connection
+  caps bind.  The margin covers the saturation band (1e-9) plus the
+  round-off between the fill's running sums and the real rates, below
+  ``6 (R + 1) 2**-53`` after ``R`` rounds, for any component of fewer
+  than 1.5e9 flows.  Infinite capacities are never pruned, nor is any
+  constraint of a component with a weighted flow;
+* when, after the prune, each flow meets exactly one constraint or cap
+  that can bind, a flow freezes only with all the members of its one
+  binder, so no freeze changes another binder's count and the per-flow
+  decrements are skipped.
+
+Each component also keeps its constraints split by member count into
+two insertion-ordered dicts, ``ones`` (one member) and ``multi`` (two
+or more).  Attach, detach, merge and split already touch exactly the
+constraints whose count crosses 0↔1↔2, so they maintain the split and
+a weight-1 fill starts from it instead of classifying every constraint.
 
 :meth:`FlowScheduler._fill` gives the details; the former round loop is
 kept verbatim as a test oracle in ``tests/oracles/fill_previous.py``.
@@ -94,8 +118,25 @@ _FOLD_MIN = sys.float_info.min / _EPS
 #: ... and runs its saturation test only while ``cap`` is within this
 #: factor of the level; beyond it the test cannot hold.
 _FOLD_WINDOW = 1.0 + 4 * _EPS
+#: A weight-1 fill prunes a finite constraint of at least ``_FOLD_MIN``
+#: whose ``n`` members could not fill it even at the component's largest
+#: per-flow bound ``U``: ``n * U < cap * _PRUNE_BELOW``.  The margin
+#: covers the round-off that separates the fill's running sums from the
+#: real member rates; :meth:`FlowScheduler._fill` derives it.
+_PRUNE_MARGIN = 1e-6
+_PRUNE_BELOW = 1.0 - _PRUNE_MARGIN
 
 _capacity = operator.attrgetter("capacity")
+
+
+def _bound(rate_cap: Optional[float],
+           constraints: Iterable["CapacityConstraint"]) -> float:
+    """The least of ``rate_cap`` and the capacities of ``constraints``."""
+    ub = math.inf if rate_cap is None else rate_cap
+    for c in constraints:
+        if c.capacity < ub:
+            ub = c.capacity
+    return ub
 
 
 class CapacityConstraint:
@@ -105,13 +146,18 @@ class CapacityConstraint:
     the engine keeps no per-constraint running sum.  ``_used``,
     ``_live_w`` and ``_live_n`` are scratch of the progressive fill:
     :meth:`FlowScheduler._fill` sets them before it reads them.
+
+    While the constraint carries flows, its capacity changes only
+    through :meth:`FlowScheduler.set_capacity`, which refreshes the
+    per-flow bounds the fill prunes with; assigning ``capacity``
+    directly is for a constraint with no active flow.
     """
 
     __slots__ = ("name", "capacity", "_flows", "_component",
                  "_used", "_live_w", "_live_n")
 
     def __init__(self, name: str, capacity: float) -> None:
-        if capacity <= 0:
+        if not capacity > 0:
             raise SimError(f"constraint {name!r} needs positive capacity")
         self.name = name
         self.capacity = float(capacity)
@@ -120,6 +166,9 @@ class CapacityConstraint:
         # fid order: the fill and ``load`` sum members in that order.
         self._flows: Dict["Flow", None] = {}
         self._component: Optional["_Component"] = None
+        # A frozen member decrements it even in a fill that pruned this
+        # constraint (and so never reads it).
+        self._live_w = 0.0
 
     @property
     def active_flows(self) -> int:
@@ -153,7 +202,7 @@ class Flow:
 
     __slots__ = ("fid", "size", "remaining", "constraints", "rate_cap",
                  "rate", "done", "started_at", "finished_at", "label",
-                 "weight", "_component", "_done_eps",
+                 "weight", "_component", "_done_eps", "_ub",
                  "_frozen")     # scratch of FlowScheduler._fill
 
     def __init__(self, fid: int, size: float,
@@ -182,6 +231,9 @@ class Flow:
         #: The flow counts as finished once ``remaining`` is within
         #: this band of zero (relative to its size, at least 1 byte).
         self._done_eps = _EPS * max(1.0, self.size)
+        #: No fill rate exceeds the least of the cap and the capacities
+        #: on the path (refreshed by FlowScheduler.set_capacity).
+        self._ub = _bound(rate_cap, self.constraints)
 
     @property
     def elapsed(self) -> Optional[float]:
@@ -208,19 +260,35 @@ class _Component:
     engine's behaviour is identical run-to-run; ``ver`` invalidates
     stale deadline-heap entries after a reallocation, and ``alive``
     invalidates entries of merged/split/emptied components.
+
+    ``ones`` and ``multi`` split ``constraints`` by member count (one,
+    or two and more).  :class:`FlowScheduler` keeps them exact as flows
+    attach, detach and merge; :meth:`classify` derives them for each
+    part of a split, and for a component assembled by hand (a fill
+    whose dicts do not add up to ``constraints`` calls it; the engine
+    tests check that no scheduler-built component ever does).
     """
 
-    __slots__ = ("cid", "flows", "constraints", "last_update", "deadline",
-                 "ver", "alive")
+    __slots__ = ("cid", "flows", "constraints", "ones", "multi",
+                 "last_update", "deadline", "ver", "alive")
 
     def __init__(self, cid: int, now: float) -> None:
         self.cid = cid
         self.flows: Dict[Flow, None] = {}
         self.constraints: Dict[CapacityConstraint, None] = {}
+        self.ones: Dict[CapacityConstraint, None] = {}
+        self.multi: Dict[CapacityConstraint, None] = {}
         self.last_update = now
         self.deadline = math.inf
         self.ver = 0
         self.alive = True
+
+    def classify(self) -> None:
+        """Re-derive ``ones`` and ``multi`` from ``constraints``."""
+        self.ones = {}
+        self.multi = {}
+        for c in self.constraints:
+            (self.ones if len(c._flows) == 1 else self.multi)[c] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<_Component #{self.cid} flows={len(self.flows)} "
@@ -278,11 +346,12 @@ class FlowScheduler:
         A zero-size transfer completes at the current instant (after the
         event loop turn), which callers rely on for empty files.
         """
-        if size < 0:
+        # Negated comparisons, so that NaN is refused too.
+        if not size >= 0:
             raise SimError(f"negative transfer size {size}")
-        if rate_cap is not None and rate_cap <= 0:
+        if rate_cap is not None and not rate_cap > 0:
             raise SimError(f"rate_cap must be positive, got {rate_cap}")
-        if weight <= 0:
+        if not weight > 0:
             raise SimError(f"weight must be positive, got {weight}")
         done = self.sim.event(name=f"flow:{label or 'transfer'}")
         flow = Flow(next(self._fid), size, tuple(constraints), rate_cap,
@@ -378,7 +447,7 @@ class FlowScheduler:
         Constraints with no active flows just take the new value (it
         applies to the next transfer).
         """
-        if capacity <= 0:
+        if not capacity > 0:
             raise SimError(
                 f"constraint {constraint.name!r} needs positive capacity")
         if capacity == constraint.capacity:
@@ -389,6 +458,8 @@ class FlowScheduler:
         if comp is not None and comp.alive:
             self._advance(comp, self.sim.now, finished)
         constraint.capacity = float(capacity)
+        for f in constraint._flows:
+            f._ub = _bound(f.rate_cap, f.constraints)
         if finished:
             # Epsilon-band completions surfaced by the advance settle
             # first (this also reallocates the surviving component).
@@ -442,6 +513,8 @@ class FlowScheduler:
                 for c in comp.constraints:
                     c._component = host
                     host.constraints[c] = None
+                host.ones.update(comp.ones)
+                host.multi.update(comp.multi)
                 comp.alive = False
                 self._comps.pop(comp, None)
         else:
@@ -449,11 +522,22 @@ class FlowScheduler:
             self._comps[host] = None
         host.flows[flow] = None
         flow._component = host
+        # A constraint whose member count crosses 0 -> 1 -> 2 here
+        # enters the component, then moves from ``ones`` to ``multi``.
+        # Every constraint of a merged component now points at ``host``,
+        # so one that does not had no member.  ``Flow`` collapses a
+        # repeated constraint (a loopback bulk over its node's membus
+        # names it twice), so each count moves once.
+        ones = host.ones
         for c in flow.constraints:
             c._flows[flow] = None
             if c._component is not host:
                 c._component = host
                 host.constraints[c] = None
+                ones[c] = None
+            elif c in ones:
+                del ones[c]
+                host.multi[c] = None
         return host
 
     def _detach(self, flow: Flow) -> Optional[_Component]:
@@ -463,12 +547,17 @@ class FlowScheduler:
         self._flows.pop(flow, None)
         if comp is not None:
             comp.flows.pop(flow, None)
-        for c in flow.constraints:
-            c._flows.pop(flow, None)
-            if not c._flows:
+        for c in flow.constraints:     # 2 -> 1 -> 0, as in _attach
+            members = c._flows
+            members.pop(flow, None)
+            if not members:
                 c._component = None
                 if comp is not None:
                     comp.constraints.pop(c, None)
+                    comp.ones.pop(c, None)
+            elif comp is not None and len(members) == 1:
+                comp.multi.pop(c, None)
+                comp.ones[c] = None
         return comp
 
     def _rebuild(self, comp: _Component) -> List[_Component]:
@@ -494,7 +583,7 @@ class FlowScheduler:
                 return [comp]
         unvisited = dict.fromkeys(comp.flows)
         parts: List[List[Flow]] = []
-        seen_c = set()
+        seen_c: Dict[CapacityConstraint, None] = {}
         while unvisited:
             seed = next(iter(unvisited))
             del unvisited[seed]
@@ -505,7 +594,7 @@ class FlowScheduler:
                 for c in f.constraints:
                     if c in seen_c or not c._flows:
                         continue
-                    seen_c.add(c)
+                    seen_c[c] = None
                     for g in c._flows:
                         if g in unvisited:
                             del unvisited[g]
@@ -527,6 +616,7 @@ class FlowScheduler:
                     if c._component is not part:
                         c._component = part
                         part.constraints[c] = None
+            part.classify()
             out.append(part)
         return out
 
@@ -692,12 +782,60 @@ class FlowScheduler:
           the same positive ``level`` is monotone too, so the batch's
           ``min(remaining) / level`` equals the least per-flow quotient.
           Weighted flows divide their own rate as they freeze.
+        * **Constraints that can never bind are pruned** (weight-1
+          components).  Let ``U`` be the largest ``Flow._ub`` of the
+          component.  A constraint with ``n`` members and a capacity
+          ``cap`` in ``[_FOLD_MIN, inf)`` leaves the fill when
+          ``n * U < cap * (1 - m)``, ``m = _PRUNE_MARGIN = 1e-6``.  Why
+          that changes no float: with ``u = 2**-53`` and ``R`` rounds,
+          every rate is a sum of ``R`` non-negative increments, and a
+          constraint that can bind never rises above ``cap * (1 + 5u)``
+          (each increment is at most its ``(cap - used) / lw``).  The
+          constraint or cap that sets a flow's ``_ub`` is never pruned
+          (``n * U >= cap`` for it), so bounding the flow's rate by its
+          running sum gives ``rate <= _ub * (1 + (3R + 5)u)``.  A pruned
+          constraint's ``used`` is its members' rates summed with
+          ``2R`` more roundings, at most ``n * U * (1 + 6(R + 1)u)``.
+          The saturation test needs ``used >= cap * (1 - 1e-9)``, so it
+          never holds while ``m > 1e-9 + 6(R + 1)u``; and a constraint
+          that supplied the round's least increment would reach
+          ``cap * (1 - 4u)`` that round and saturate.  So it never
+          freezes a flow nor sets an increment: removing it moves
+          nothing.  Each round freezes a flow, so ``R`` is at most the
+          flow count, and ``m = 1e-6`` holds below 1.5e9 flows.
+          Infinite capacities stay (``inf - used <= 1e-9 * inf`` holds:
+          they freeze their members in round one), and so do those
+          below ``_FOLD_MIN``, where subnormal round-off is absolute.  A
+          component with a weighted flow prunes nothing: rounded weight
+          decrements can overstate a constraint's live weight, and with
+          it ``used``, by more than any fixed margin.
+        * **Class dicts, no classification.**  The one-member and
+          multi-member constraints come from ``comp.ones`` and
+          ``comp.multi``, which the scheduler keeps exact; their order
+          does not matter with every weight 1.0 (counts are exact and
+          both minimums are order-free).  Sorted by capacity, the ones
+          the fold keeps in ``live`` (below ``_FOLD_MIN``) lead, and
+          the pruned and infinite ones trail.
+        * **One binder per flow.**  Call the constraints left after the
+          prune, and the rate caps, binders; a flow with a finite
+          ``_ub`` has at least one.  When the (flow, binder) pairs are
+          exactly as many as the flows, every flow has one binder: it
+          freezes in the round that binder saturates, with all of the
+          binder's members, so no freeze changes another binder's
+          unfrozen count.  Then the per-flow decrements are skipped
+          and a saturated binder's count drops to 0 at once.  On the
+          bulk-transfer mesh, where only the per-connection caps bind,
+          that is every fill.
         """
+        inf = math.inf
         flows = comp.flows
         own = []
         fold = True
+        ub_max = 0.0            # the largest per-flow bound ``_ub``
         for f in flows:
             f._frozen = False
+            if f._ub > ub_max:
+                ub_max = f._ub
             if f.weight != 1.0:
                 fold = False
             elif f.rate_cap is None:
@@ -710,21 +848,58 @@ class FlowScheduler:
             own.append(f)
         live = []
         ones = []
-        for c in comp.constraints:
-            n = len(c._flows)
-            c._live_w = float(n)    # exact while every weight is 1.0
-            if n == 1 and fold and _FOLD_MIN <= c.capacity < math.inf:
-                ones.append(c)
-            else:
+        if fold:
+            if len(comp.ones) + len(comp.multi) != len(comp.constraints):
+                comp.classify()     # assembled by hand, not attached
+            below = _PRUNE_BELOW
+            live = [c for c in comp.multi
+                    if not (len(c._flows) * ub_max < c.capacity * below
+                            and _FOLD_MIN <= c.capacity < inf)]
+            binds = len(own)    # (flow, binder) pairs; these are caps
+            for c in live:
+                n = len(c._flows)
+                binds += n
+                c._live_w = float(n)    # exact: every weight is 1.0
+                c._used = 0.0
+            # In ascending order, the one-member constraints the fold
+            # leaves in ``live`` (below _FOLD_MIN) lead, and the pruned
+            # and infinite ones (which stay in ``live``) trail.
+            ones = sorted(comp.ones, key=_capacity)
+            lo = 0
+            hi = len(ones)
+            while lo < hi and ones[lo].capacity < _FOLD_MIN:
+                lo += 1
+            while hi > lo and (ones[hi - 1].capacity == inf
+                               or ub_max < ones[hi - 1].capacity * below):
+                hi -= 1
+            if lo or hi < len(ones):
+                for c in ones[:lo] + ones[hi:]:
+                    if c.capacity < _FOLD_MIN or c.capacity == inf:
+                        c._used = 0.0
+                        c._live_w = 1.0
+                        binds += 1
+                        live.append(c)
+                ones = ones[lo:hi]
+            binds += len(ones)
+            for c in ones:
+                c._live_w = 1.0
+            # A flow with a finite ``_ub`` has a binder (whatever sets
+            # it is never pruned): equal counts mean one per flow.
+            shared = binds != len(flows) or ub_max == inf
+        else:
+            shared = True
+            # Weighted decrements round, so their order matters: walk
+            # the component's constraints in order and prune none.
+            for c in comp.constraints:
+                n = len(c._flows)
+                c._live_w = float(n)
                 c._live_n = n
                 c._used = 0.0
                 live.append(c)
-        if not fold:
             for f in own:
                 if f.weight != 1.0:
                     for c in f.constraints:
                         c._live_w = 0.0     # summed exactly in round one
-        ones.sort(key=_capacity)
         n_ones = len(ones)
         top = 0                 # ones[:top] have frozen members
         level = 0.0
@@ -778,6 +953,8 @@ class FlowScheduler:
                         if not f._frozen:
                             f._frozen = True
                             froze.append(f)
+                    if not shared:
+                        c._live_w = 0.0     # all its members froze
             if top < n_ones:
                 window = level * _FOLD_WINDOW
                 for i in range(top, n_ones):
@@ -790,6 +967,8 @@ class FlowScheduler:
                             if not f._frozen:
                                 f._frozen = True
                                 froze.append(f)
+                        if not shared:
+                            c._live_w = 0.0
             for f in own:
                 f.rate += delta * f.weight
                 cap = f.rate_cap
@@ -808,8 +987,10 @@ class FlowScheduler:
                     f.rate = level
                     if f.remaining < least:
                         least = f.remaining
-                    for c in f.constraints:
-                        c._live_w -= 1.0
+                if shared:
+                    for f in froze:
+                        for c in f.constraints:
+                            c._live_w -= 1.0
                 live = [c for c in live if c._live_w > 0.0]
             else:
                 for f in froze:

@@ -3,7 +3,9 @@
 Test fixture only.  :meth:`repro.sim.flows.FlowScheduler._fill` skips
 work whose result is already known exactly (one-member constraints ride
 the fill level, constraints with no unfrozen member leave the round
-loop, the deadline comes from each round's frozen batch).  What it
+loop, constraints that can never bind are pruned, the per-flow
+decrements go when each flow has one binder, the deadline comes from
+each round's frozen batch).  What it
 replaced is kept here verbatim: :func:`fill` is the former
 ``FlowScheduler._fill`` and :func:`fill_and_deadline` adds the former
 per-flow deadline pass of ``FlowScheduler._allocate``.

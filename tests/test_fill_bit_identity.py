@@ -2,23 +2,33 @@
 
 :meth:`FlowScheduler._fill` skips round work whose result is already
 known exactly: weight-1 one-member constraints ride the fill level,
-constraints with no unfrozen member leave the round loop, and the
-deadline comes from each round's frozen batch.  Every ``sim_digest`` and
-exact counter of the benchmark depends on each rate and deadline being
-the same float as before (a last-bit change moves a wake instant), so
-these tests compare with ``==`` against the verbatim former fill in
-``tests/oracles/fill_previous.py``, float weights included.
+constraints with no unfrozen member leave the round loop, constraints
+that can never bind are pruned by the cached per-flow bound ``_ub``,
+and the deadline comes from each round's frozen batch.  Every
+``sim_digest`` and exact counter of the benchmark depends on each rate
+and deadline being the same float as before (a last-bit change moves a
+wake instant), so these tests compare with ``==`` against the verbatim
+former fill in ``tests/oracles/fill_previous.py``, float weights
+included: on hand-built components, and on a whole engine run whose
+components, class dicts and bounds went through attach, finish, cancel
+and ``set_capacity``.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.errors import SimulationEnded
+from repro.net.fabric import Fabric
+from repro.net.mercury import MercuryNetwork
 from repro.sim import Simulator
 from repro.sim.flows import (
-    _FOLD_MIN, CapacityConstraint, Flow, FlowScheduler, _Component,
+    _FOLD_MIN, _PRUNE_MARGIN, CapacityConstraint, Flow, FlowScheduler,
+    _Component,
 )
+from repro.util import GiB
 from tests.oracles.fill_previous import fill_and_deadline
 from tests.test_flow_engine_parity import bipartite_cases
 
@@ -41,6 +51,7 @@ def build(caps, specs, remaining):
     for c in constraints:
         if c._flows:
             comp.constraints[c] = None
+    comp.classify()
     return comp
 
 
@@ -166,6 +177,296 @@ class TestFillBitIdentity:
                            ([0], None, 1.7)]),
         # A flow with no constraint but its cap.
         ([5.0], [([], 2.0, 1.0), ([0], None, 1.0), ([0], None, 1.0)]),
+        # Unbounded flows beside one with as many binders as there are
+        # flows: the binder count alone must not take the shortcut.
+        ([1.0, 1.0, 2.0], [([], None, 1.0), ([], None, 1.0),
+                           ([], None, 1.0), ([0, 1, 2], 1.0, 1.0)]),
+        # One binder per flow: a shared link, a private link, a cap.
+        ([4.0, 3.0, 1e18], [([0, 2], None, 1.0), ([0, 2], None, 1.0),
+                            ([1, 2], None, 1.0), ([2], 0.5, 1.0)]),
+        # Two binders on one flow (its link and its cap) beside flows
+        # with one each.
+        ([4.0, 3.0, 1e18], [([0, 2], None, 1.0), ([0, 2], 1.5, 1.0),
+                            ([1, 2], None, 1.0)]),
+        # An infinite link is a binder that saturates in round one.
+        ([math.inf, 3.0], [([0], None, 1.0), ([1], None, 1.0)]),
     ])
     def test_edges(self, caps, specs):
         assert_bit_identical(caps, specs, [1.0 + i for i in range(len(specs))])
+
+
+# -- the prune and the cached state ---------------------------------------------
+
+#: ``n * U`` equals ``cap * PRUNE_EDGE`` exactly at the prune threshold.
+PRUNE_EDGE = 1.0 - _PRUNE_MARGIN
+
+
+def hub_capacity(draw, n, ub_max):
+    """A hub's capacity near where ``n`` members at ``ub_max`` would fill
+    it (``n * U == cap``) or where the prune starts (``n * U == cap *
+    (1 - margin)``), a few ulps either side; or a capacity the prune
+    must leave alone (1e18 is pruned; inf and sub-``_FOLD_MIN`` are not)."""
+    return draw(st.one_of(
+        st.builds(lambda base, k: base + k * math.ulp(base),
+                  st.sampled_from([n * ub_max, n * ub_max / PRUNE_EDGE,
+                                   n * ub_max * (1 + 4e-9)]),
+                  st.integers(-4, 4)),
+        st.sampled_from([1e18, math.inf, _FOLD_MIN / 4, 5e-324,
+                         _FOLD_MIN]),
+        capacities,
+    ))
+
+
+@st.composite
+def hub_cases(draw):
+    """Flows over one or two hubs, each flow bounded by a private link
+    or a rate cap (which then sets its ``_ub``); the hub capacities sit
+    at the edges of the prune rule."""
+    n = draw(st.integers(1, 8))
+    weights = draw(st.sampled_from(["ones", "mixed"]))
+    caps = [None, None]         # the two hubs, filled in below
+    specs = []
+    bounds = []
+    for i in range(n):
+        idxs = [0]
+        ub = math.inf
+        if draw(st.integers(0, 4)):
+            caps.append(draw(capacities))
+            idxs.append(len(caps) - 1)
+            ub = caps[-1]
+        rate_cap = None
+        if ub == math.inf or draw(st.booleans()):
+            rate_cap = draw(st.one_of(capacities, st.just(ub)))
+            if rate_cap == math.inf:
+                rate_cap = draw(capacities)
+            ub = min(ub, rate_cap)
+        bounds.append(ub)
+        weight = 1.0
+        if weights == "mixed" and draw(st.booleans()):
+            weight = draw(st.floats(0.1, 10.0))
+        specs.append((idxs, rate_cap, weight))
+    second = [i for i in range(n) if draw(st.booleans())]
+    caps[0] = hub_capacity(draw, n, max(bounds))
+    if second:
+        for i in second:
+            specs[i][0].append(1)
+        caps[1] = hub_capacity(draw, len(second),
+                               max(bounds[i] for i in second))
+    else:
+        caps[1] = 1.0           # carries no flow: not in the component
+    remaining = draw(st.lists(remainders, min_size=n, max_size=n))
+    return caps, specs, remaining
+
+
+class TestPruneBitIdentity:
+    @given(hub_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_hub_at_the_prune_edges(self, case):
+        assert_bit_identical(*case)
+
+    @pytest.mark.parametrize("scale", [1.0, PRUNE_EDGE, 1 / PRUNE_EDGE])
+    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+    def test_two_members_at_the_edge(self, scale, ulps):
+        # Two flows bounded at 3.0 (a link, a rate cap) share a hub.
+        base = 6.0 / scale
+        hub = base + ulps * math.ulp(base)
+        assert_bit_identical([hub, 3.0], [([0, 1], None, 1.0),
+                                          ([0], 3.0, 1.0)], [5.0, 7.0])
+
+    def test_a_hub_nobody_can_fill_keeps_no_round_state(self):
+        comp = build([1e18, 5.0, 6.0], [([0, 1], None, 1.0),
+                                         ([0, 2], None, 1.0)], [1.0, 2.0])
+        hub = next(iter(comp.constraints))
+        # Each flow's one binder is its link: nothing decrements the hub.
+        hub._used = hub._live_w = "untouched"
+        FlowScheduler._fill(comp)
+        assert hub._used == hub._live_w == "untouched"
+        assert [f.rate for f in comp.flows] == [5.0, 6.0]
+
+    def test_a_rate_cap_sets_the_bound(self):
+        # Both flows are capped at 1.0, far below their 10.0 links, so
+        # the 3.0 hub cannot fill: 2 * 1.0 < 3.0.
+        comp = build([3.0, 10.0, 10.0], [([0, 1], 1.0, 1.0),
+                                         ([0, 2], 1.0, 1.0)], [1.0, 1.0])
+        assert [f._ub for f in comp.flows] == [1.0, 1.0]
+        hub = next(iter(comp.constraints))
+        hub._used = "untouched"
+        FlowScheduler._fill(comp)
+        assert hub._used == "untouched"
+
+
+# -- a whole engine run against the former fill -----------------------------------
+
+def assert_classes_exact(comp):
+    """``comp.ones`` / ``comp.multi`` split ``comp.constraints`` by
+    member count exactly, so a fill never needs ``classify()``."""
+    assert len(comp.ones) + len(comp.multi) == len(comp.constraints)
+    for c in comp.constraints:
+        assert c in (comp.ones if len(c._flows) == 1 else comp.multi)
+
+
+def checked(fill):
+    """``fill`` behind a check that the scheduler kept the class dicts
+    exact: an upkeep bug in attach, detach, merge or split fails here
+    instead of being repaired by the fill's fallback for hand-built
+    components."""
+    def run(comp):
+        assert_classes_exact(comp)
+        return fill(comp)
+    return staticmethod(run)
+
+
+def churn_run(seed):
+    """A seeded mesh churn: flows arrive over NICs (and some over a core)
+    that the prune drops, and per-connection links that bind, or loop
+    back over their node's membus; some are cancelled,
+    and a degrader raises and lowers connection links (a flow's bound)
+    and hubs (which may turn from never-binding to binding and back).
+    Every step checks each component's one-/multi-member split; the run
+    is bounded, so a fill that stalls the clock fails instead of hanging.
+    Returns the completion order and instants and the cancel instants."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    fs = FlowScheduler(sim)
+    nodes = 6
+    core = CapacityConstraint("core", 40.0 * nodes)
+    egress = [CapacityConstraint(f"n{i}:out", 40.0) for i in range(nodes)]
+    ingress = [CapacityConstraint(f"n{i}:in", 40.0) for i in range(nodes)]
+    membus = [CapacityConstraint(f"n{i}:membus", 6.0) for i in range(nodes)]
+    conns = {}
+    trace = []
+
+    def conn(src, dst):
+        c = conns.get((src, dst))
+        if c is None:
+            c = conns[src, dst] = CapacityConstraint(
+                f"conn{src}->{dst}", rng.choice([3.0, 3.5, 4.0]))
+        return c
+
+    def check_classes():
+        for comp in fs._comps:
+            assert_classes_exact(comp)
+
+    def flow(i):
+        yield sim.timeout(rng.uniform(0.0, 20.0))
+        check_classes()
+        src = rng.randrange(nodes)
+        dst = (src + rng.randint(1, 3)) % nodes
+        path = [egress[src], ingress[dst], conn(src, dst)]
+        if rng.random() < 0.3:
+            # Most flows skip the core, so components split and merge.
+            path.insert(1, core)
+        elif rng.random() < 0.2:
+            # A loopback bulk names its node's membus twice.
+            path = [membus[src], conn(src, src), membus[src]]
+        rate_cap = rng.choice([None, None, None, 2.5, 3.5])
+        weight = 1.0 if rng.random() < 0.9 else rng.choice([2.0, 0.7])
+        done = fs.transfer(rng.uniform(5.0, 60.0), path,
+                           rate_cap=rate_cap, weight=weight, label=f"f{i}")
+        done.add_callback(lambda ev: trace.append(
+            (ev.value.label if ev.ok else "cancel", sim.now)))
+        check_classes()
+        if rng.random() < 0.15:
+            yield sim.timeout(rng.uniform(0.1, 5.0))
+            if not done.triggered:
+                fs.cancel(done)
+
+    def degrader():
+        for _ in range(40):
+            yield sim.timeout(rng.uniform(0.1, 1.0))
+            if conns and rng.random() < 0.5:
+                c = conns[rng.choice(sorted(conns))]
+                # Lifted above the NICs, a link no longer bounds its
+                # flows: the NIC they cross must come back into the fill.
+                fs.set_capacity(c, rng.choice([1.0, 3.0, 50.0, 200.0]))
+            else:
+                c = rng.choice(egress + ingress + membus + [core])
+                fs.set_capacity(c, rng.choice([2.0, 8.0, 40.0, 1e18]))
+            check_classes()
+
+    for i in range(70):
+        sim.process(flow(i))
+    sim.process(degrader())
+    for _ in range(50_000):
+        try:
+            sim.step()
+        except SimulationEnded:
+            break
+    else:
+        pytest.fail("the run did not drain")
+    assert fs.active == 0
+    return trace
+
+
+def against_the_former_fill(run, monkeypatch):
+    """``run()`` with the fill (class dicts checked before every call),
+    then with ``_fill`` swapped for the former fill; returns both."""
+    with monkeypatch.context() as m:
+        m.setattr(FlowScheduler, "_fill", checked(FlowScheduler._fill))
+        got = run()
+    with monkeypatch.context() as m:
+        m.setattr(FlowScheduler, "_fill", staticmethod(fill_and_deadline))
+        want = run()
+    return got, want
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_engine_run_matches_the_former_fill(seed, monkeypatch):
+    got, want = against_the_former_fill(lambda: churn_run(seed), monkeypatch)
+    assert got == want
+
+
+def test_a_repeated_constraint_counts_once(monkeypatch):
+    """A flow that names ``c`` twice joins a ``c`` with one member:
+    ``c``'s count goes 1 -> 2 once (``Flow`` collapses the repeat), and
+    the run equals the former fill's."""
+    def run():
+        sim = Simulator()
+        fs = FlowScheduler(sim)
+        c = CapacityConstraint("c", 10.0)
+        x = CapacityConstraint("x", 3.0)
+        ends = []
+        for size, path in [(50.0, [c]), (20.0, [c, x, c]), (9.0, [x, c, c])]:
+            done = fs.transfer(size, path)
+            done.add_callback(lambda ev: ends.append((ev.value.fid, sim.now)))
+        flows = list(fs._flows)
+        assert [f.constraints for f in flows] == [(c,), (c, x), (x, c)]
+        (comp,) = fs._comps
+        assert list(comp.multi) == [c, x] and not comp.ones
+        sim.run()
+        return ends
+
+    got, want = against_the_former_fill(run, monkeypatch)
+    assert got == want
+    assert [fid for fid, _ in got] == [3, 1, 2]
+
+
+def test_loopback_bulk_over_a_busy_membus(monkeypatch):
+    """A Mercury bulk whose target is its own node crosses the membus
+    twice (route and extras) while another stream is on that membus."""
+    def run():
+        sim = Simulator()
+        fabric = Fabric(sim, core_bandwidth=100 * GiB)
+        for name in ("alpha", "beta"):
+            fabric.add_node(name, nic_bandwidth=12 * GiB,
+                            membus_bandwidth=4 * GiB)
+        net = MercuryNetwork(sim, fabric, plugin="ofi+tcp")
+        ep = net.endpoint("alpha")
+        membus = fabric.port("alpha").membus
+        rc = CapacityConstraint("alpha:dev", 3 * GiB)
+        ends = []
+        events = [
+            fabric.flows.transfer(8 * GiB, [membus], label="stream"),
+            ep.bulk_push("alpha", 2 * GiB, extra_constraints=(membus,)),
+            ep.bulk_pull("alpha", 3 * GiB, extra_constraints=(rc, membus)),
+            ep.bulk_push("beta", 1 * GiB, extra_constraints=(membus,)),
+        ]
+        for i, ev in enumerate(events):
+            ev.add_callback(lambda _e, i=i: ends.append((i, sim.now)))
+        sim.run()
+        assert fabric.flows.active == 0
+        return ends
+
+    got, want = against_the_former_fill(run, monkeypatch)
+    assert got == want
+    assert len(got) == 4
