@@ -5,6 +5,11 @@ full slurmctld/urd stack (submission → scheduling → staging → steps →
 accounting), i.e. trace jobs per wall-clock second.  The synthesized
 trace carries the acceptance mix: ≥ 20 % of jobs belong to staged
 NORNS workflows.
+
+The 5000-job run checks nothing the 1000-job run does not; it carries
+the ``fullsize`` marker, which ``pytest.ini`` deselects by default (the
+CI paper-figure step selects it back with ``-m "fullsize or not
+fullsize"``).
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ def _trace(n_jobs: int):
     return synthesize(cfg, seed=0)
 
 
-@pytest.mark.parametrize("n_jobs", [1000, 5000])
+@pytest.mark.parametrize(
+    "n_jobs", [1000, pytest.param(5000, marks=pytest.mark.fullsize)])
 def test_replay_throughput(benchmark, n_jobs):
     trace = _trace(n_jobs)
     assert trace.staged_fraction >= 0.20

@@ -16,11 +16,11 @@ Three layers, mirroring the paper's Figure 3:
 from repro.net.sockets import Credentials, LocalSocketHub, Channel, Listener
 from repro.net.fabric import Fabric
 from repro.net.na import NAPlugin, get_plugin, available_plugins
-from repro.net.mercury import MercuryNetwork, MercuryEndpoint, RpcHandle
+from repro.net.mercury import MercuryNetwork, MercuryEndpoint
 
 __all__ = [
     "Credentials", "LocalSocketHub", "Channel", "Listener",
     "Fabric",
     "NAPlugin", "get_plugin", "available_plugins",
-    "MercuryNetwork", "MercuryEndpoint", "RpcHandle",
+    "MercuryNetwork", "MercuryEndpoint",
 ]

@@ -9,9 +9,14 @@ Model highlights matching the paper's measurements:
 
 * Each endpoint runs a *progress loop* that serializes the per-RPC
   protocol work (``plugin.rpc_service_time``); this is what saturates
-  one urd instance at ≈45 k remote requests/s (Fig. 5).  Handlers are
-  dispatched to their own simulation process so long bulk operations
-  never stall the progress loop.
+  one urd instance at ≈45 k remote requests/s (Fig. 5).  The loop hands
+  each request to a *dispatch* event (:class:`_Dispatch`) and moves on.
+  A plain handler runs inline when that event fires; a generator
+  handler (one that waits, e.g. ``norns.submit`` crossing the urd's
+  accept thread) runs as its own simulation process, so long
+  operations never stall the progress loop.  No request gets a
+  process or a closure of its own otherwise: a heartbeat wave leaves
+  nothing for the cyclic collector.
 * Bulk data between a (source, destination) node pair shares a single
   *connection* capacity equal to the plugin's per-stream cap — which is
   why per-client bandwidth stays at ≈1.7–1.8 GiB/s no matter how many
@@ -27,11 +32,12 @@ from typing import Any, Callable, Dict, Optional
 from repro.errors import AddressLookupError, NetworkError, RpcTimeout
 from repro.net.fabric import Fabric
 from repro.net.na import NAPlugin, get_plugin
-from repro.sim.core import PENDING, Event, Process, Simulator
+from repro.sim.core import (PENDING, TRIGGERED, Event, Process, Simulator,
+                            _new_event)
 from repro.sim.flows import CapacityConstraint
 from repro.sim.resources import Store
 
-__all__ = ["MercuryNetwork", "MercuryEndpoint", "RpcHandle"]
+__all__ = ["MercuryNetwork", "MercuryEndpoint"]
 
 
 def _deliver_response(hop: Event) -> None:
@@ -40,22 +46,116 @@ def _deliver_response(hop: Event) -> None:
     if reply._state != PENDING:  # client gave up (timeout)
         return
     if ok:
-        reply.sim._post_now(reply, value)
+        # Simulator._post_now inlined: one reply per request.
+        reply._ok = True
+        reply._value = value
+        reply._state = TRIGGERED
+        reply.sim._due.append(reply)
     else:
         reply.fail(value)
 
 
-class RpcHandle:
-    """Client-side handle for an in-flight RPC."""
+class _Dispatch(Event):
+    """The "dispatch boot" event of one request on its target.
 
-    __slots__ = ("event", "rpc", "target", "issued_at")
+    Its value is the request tuple ``(rpc, payload, origin, reply, key,
+    ctx)`` read off the request hop, and its callback is :func:`_serve`.
+    ``entry`` is the duplicate-suppression entry this request registered
+    (``None`` for an unkeyed or idempotent rpc); the dispatch settles
+    that object, so duplicates parked on it are answered even after the
+    table has evicted it.  Nothing refers back to the event, so it is
+    freed by reference counting once the request is answered.
+    """
 
-    def __init__(self, event: Event, rpc: str, target: str,
-                 issued_at: float) -> None:
-        self.event = event
-        self.rpc = rpc
-        self.target = target
-        self.issued_at = issued_at
+    __slots__ = ("endpoint", "handler", "entry", "span")
+
+    def finish(self, value: Any, ok: bool) -> None:
+        """The handler is done: record, respond, post "dispatch exit"."""
+        ep = self.endpoint
+        sim = self.sim
+        sid = self.span
+        if sid >= 0:
+            # Success is the common case: no args dict, the error path
+            # marks {"ok": False} so absence means success.
+            if ok:
+                sim.tracer.end(sid)
+            else:
+                sim.tracer.end(sid, args={"ok": False})
+        if ok:
+            ep.rpcs_served += 1
+        entry = self.entry
+        if entry is not None:
+            ep._settle(entry, value, ok)
+        request = self._value
+        ep._respond(request[2], request[3], value, ok)
+        # The exit event, built and posted inline (no callbacks: it
+        # only marks the end of the dispatch on the calendar).
+        done = _new_event(Event)
+        done.sim = sim
+        done.name = self.name
+        done.callbacks = None
+        done._ok = True
+        done._value = None
+        done._state = TRIGGERED
+        done._defunct = False
+        sim._due.append(done)
+
+    def resume(self, handler_process: Process) -> None:
+        """A generator handler's process ended: finish with its outcome."""
+        self.finish(handler_process._value, handler_process._ok)
+
+
+def _serve(boot: _Dispatch) -> None:
+    """A dispatch boot event fired: run the handler of its request.
+
+    A plain handler runs inline and the dispatch finishes at once.  A
+    generator handler runs as its own process; its exit finishes the
+    dispatch (:meth:`_Dispatch.resume`).
+    """
+    rpc, payload, origin, _reply, _key, ctx = boot._value
+    t = boot.sim.tracer
+    boot.span = -1 if t is None else t.begin(
+        "rpc", rpc, track=boot.endpoint.node, parent=ctx)
+    try:
+        result = boot.handler(payload, origin)
+    except Exception as exc:  # handler bug or domain failure
+        boot.finish(exc, False)
+        return
+    if hasattr(result, "send"):
+        Process(boot.sim, result).callbacks = boot.resume
+    else:
+        boot.finish(result, True)
+
+
+class _Guard(Event):
+    """The caller's event of a call with a timeout.
+
+    Its bound :meth:`settle` is the one callback on both the reply and
+    the deadline timer: whichever fires first settles the guard, the
+    other finds it settled.  Settling drops the ``reply`` reference, so
+    the reply of a dropped request (which keeps ``settle`` as its
+    callback) and its guard are not a cycle once the deadline passed.
+    """
+
+    __slots__ = ("reply", "rpc", "target", "limit")
+
+    def settle(self, _e: Event) -> None:
+        if self._state != PENDING:
+            return
+        reply = self.reply
+        self.reply = None
+        if reply._state != PENDING:
+            if reply._ok:
+                # Simulator._post_now inlined: one guard per timed call.
+                self._ok = True
+                self._value = reply._value
+                self._state = TRIGGERED
+                self.sim._due.append(self)
+            else:
+                self.fail(reply._value)
+        else:
+            self.fail(RpcTimeout(f"rpc {self.rpc!r} to {self.target} "
+                                 f"exceeded {self.limit}s"))
 
 
 class MercuryEndpoint:
@@ -80,7 +180,7 @@ class MercuryEndpoint:
         self.node = node
         self.sim = network.sim
         self.plugin = network.plugin
-        #: rpc name -> (handler, reply-event label, handler-process
+        #: rpc name -> (handler, reply-event label, dispatch-event
         #: label, guarded-reply label, idempotent)
         self._handlers: Dict[str, tuple] = {}
         self._incoming: Store = Store(self.sim, name=f"hg:{node}:in")
@@ -113,7 +213,7 @@ class MercuryEndpoint:
         if rpc in self._handlers:
             raise NetworkError(f"rpc {rpc!r} already registered on {self.node}")
         # The labels every call of this rpc carries (the caller's reply
-        # event, its timeout guard, the handler process) are read only
+        # event, its timeout guard, the dispatch events) are read only
         # by ``repr``: format them here, once per endpoint x rpc.
         label = f"rpc:{rpc}@{self.node}"
         self._handlers[rpc] = (handler, label, f"hg:{self.node}:{rpc}",
@@ -179,24 +279,21 @@ class MercuryEndpoint:
                             ).callbacks = tgt._incoming.put
         if timeout is None:
             return reply
-        guarded = sim.event(name=registered[3] if registered is not None
-                            else f"rpc:{rpc}@{target}:guarded")
-
-        # settle closes over nothing it does not need (it reaches the
-        # kernel through guarded.sim): a dropped request's reply keeps
-        # this closure, and every cell of it, until the run ends.
-        def settle(_e: Event) -> None:
-            if guarded._state != PENDING:
-                return
-            if reply._state != PENDING:
-                if reply._ok:
-                    guarded.sim._post_now(guarded, reply._value)
-                else:
-                    guarded.fail(reply._value)
-            else:
-                guarded.fail(RpcTimeout(
-                    f"rpc {rpc!r} to {target} exceeded {timeout}s"))
-
+        # Event.__init__ inlined: one guard per timed call.
+        guarded = _new_event(_Guard)
+        guarded.sim = sim
+        guarded.name = registered[3] if registered is not None \
+            else f"rpc:{rpc}@{target}:guarded"
+        guarded.callbacks = None
+        guarded._value = None
+        guarded._ok = None
+        guarded._state = PENDING
+        guarded._defunct = False
+        guarded.reply = reply
+        guarded.rpc = rpc
+        guarded.target = target
+        guarded.limit = timeout
+        settle = guarded.settle
         if reply.callbacks is None:
             reply.callbacks = settle
         else:
@@ -230,87 +327,81 @@ class MercuryEndpoint:
 
     # -- server side ------------------------------------------------------------
     def _progress_loop(self):
-        """Serialize per-RPC protocol work; dispatch handlers async."""
+        """Serialize per-RPC protocol work; hand each request to a
+        dispatch event (:func:`_serve`)."""
         sim = self.sim
         get = self._incoming.get
         handlers = self._handlers
         service_time = self.plugin.rpc_service_time
+        due = sim._due
         while True:
             hop = yield get()
-            rpc, payload, origin, reply, key, ctx = hop._value
+            request = hop._value
+            rpc, _payload, origin, reply, key, _ctx = request
             # Protocol processing cost (deserialize, dispatch) — the
             # target-side bottleneck measured in Fig. 5.
             if service_time > 0:
                 yield sim.timeout(service_time)
             registered = handlers.get(rpc)
-            if registered is not None and registered[4]:
-                key = None  # idempotent: run it again, record nothing
-            elif key is not None and self._suppress_duplicate(key, origin,
-                                                             reply):
-                continue
+            entry = None
+            if key is not None and (registered is None
+                                    or not registered[4]):
+                # Idempotent rpcs run again and record nothing.
+                entry = self._admit(key, origin, reply)
+                if entry is None:
+                    continue
             if registered is None:
-                self._respond(origin, reply,
-                              NetworkError(f"no handler for rpc {rpc!r} on {self.node}"),
-                              ok=False)
+                exc = NetworkError(f"no handler for rpc {rpc!r} on {self.node}")
+                if entry is not None:
+                    self._settle(entry, exc, False)
+                self._respond(origin, reply, exc, ok=False)
                 continue
-            Process(sim, self._dispatch(registered[0], rpc, payload, origin,
-                                        reply, key, ctx), registered[2])
+            # Built and posted inline (Event.__init__, _post_now): one
+            # dispatch per request.
+            boot = _new_event(_Dispatch)
+            boot.sim = sim
+            boot.name = registered[2]
+            boot.callbacks = _serve
+            boot._ok = True
+            boot._value = request
+            boot._state = TRIGGERED
+            boot._defunct = False
+            boot.endpoint = self
+            boot.handler = registered[0]
+            boot.entry = entry
+            due.append(boot)
 
-    def _suppress_duplicate(self, key: str, origin: str,
-                            reply: Event) -> bool:
+    def _admit(self, key: str, origin: str, reply: Event) -> Optional[list]:
         """Effectively-once delivery for keyed (retried) requests.
 
-        First sighting registers the key and lets the handler run;
-        repeats are answered from the recorded outcome — immediately if
-        settled, or when the in-flight original completes.
+        First sighting registers the key and returns its entry
+        ``[settled, ok, value, waiters]`` for the dispatch to settle.
+        A repeat returns ``None``: it is answered from the recorded
+        outcome — immediately if settled, or when the in-flight
+        original completes.
         """
         entry = self._dedup.get(key)
         if entry is None:
             if len(self._dedup) >= self.DEDUP_CAPACITY:
                 self._dedup.pop(next(iter(self._dedup)))
-            self._dedup[key] = [False, False, None, []]
-            return False
+            self._dedup[key] = entry = [False, False, None, []]
+            return entry
         self.duplicates_suppressed += 1
         settled, ok, value, waiters = entry
         if settled:
             self._respond(origin, reply, value, ok)
         else:
             waiters.append((origin, reply))
-        return True
+        return None
 
-    def _settle_key(self, key: str, value: Any, ok: bool) -> None:
-        entry = self._dedup.get(key)
-        if entry is None:
-            return  # evicted while in flight
+    def _settle(self, entry: list, value: Any, ok: bool) -> None:
+        """Record a keyed request's outcome in the entry its dispatch
+        registered (evicted from the table or not); answer the
+        duplicates parked on it."""
         entry[0], entry[1], entry[2] = True, ok, value
         waiters, entry[3] = entry[3], []
         for origin, reply in waiters:
             self._respond(origin, reply, value, ok)
-
-    def _dispatch(self, handler, rpc, payload, origin, reply, key=None,
-                  ctx=-1):
-        t = self.sim.tracer
-        sid = -1 if t is None else t.begin(
-            "rpc", rpc, track=self.node, parent=ctx)
-        try:
-            result = handler(payload, origin)
-            if hasattr(result, "send"):  # generator handler -> run inline
-                result = yield self.sim.process(result)
-        except Exception as exc:  # handler bug or domain failure
-            if sid >= 0:
-                t.end(sid, args={"ok": False})
-            if key is not None:
-                self._settle_key(key, exc, ok=False)
-            self._respond(origin, reply, exc, ok=False)
-            return
-        self.rpcs_served += 1
-        if sid >= 0:
-            # Success is the common case: no args dict, the error path
-            # marks {"ok": False} so absence means success.
-            t.end(sid)
-        if key is not None:
-            self._settle_key(key, result, ok=True)
-        self._respond(origin, reply, result, ok=True)
 
     def _respond(self, origin: str, reply: Event, value: Any, ok: bool) -> None:
         if not self.up:

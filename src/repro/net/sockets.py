@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import ConnectionRefused, PermissionDenied, SimError
-from repro.sim.core import Event, Simulator
+from repro.sim.core import TRIGGERED, Event, Simulator, _new_event
 from repro.sim.resources import Store
 
 __all__ = ["Credentials", "Channel", "Listener", "LocalSocketHub"]
@@ -53,6 +53,21 @@ def _may_write(creds: Credentials, owner_uid: int, owner_gid: int,
     return bool(mode & 0o002)
 
 
+class _Hop(Event):
+    """One message on its way to ``peer``: a timeout whose value is
+    ``None`` (what the sender waits for) and whose callback is
+    :func:`_land`."""
+
+    __slots__ = ("peer", "payload")
+
+
+def _land(hop: _Hop) -> None:
+    """A message hop landed: queue its payload in the peer's inbox."""
+    peer = hop.peer
+    if not peer.closed:
+        peer._inbox.put(hop.payload)
+
+
 class Channel:
     """One endpoint of an established connection.
 
@@ -69,6 +84,9 @@ class Channel:
                  "trace_ctx")
 
     def __init__(self, sim: Simulator, latency: float, name: str = "") -> None:
+        if latency < 0:
+            # send() schedules its hop without Simulator.timeout's check.
+            raise SimError(f"negative IPC latency {latency!r}")
         self._sim = sim
         self._latency = latency
         self._inbox: Store = Store(sim, name=f"{name}:inbox")
@@ -81,19 +99,33 @@ class Channel:
         self.trace_ctx = -1
 
     def send(self, payload: object) -> Event:
-        """Queue ``payload`` for the peer; returns the delivery event."""
-        if self.closed or self.peer is None or self.peer.closed:
-            ev = self._sim.event()
+        """Queue ``payload`` for the peer; returns the delivery event.
+
+        The delivery event is the hop itself: a timeout of the hub's
+        IPC latency that carries the peer and the payload in two slots
+        and puts the payload in the peer's inbox when it fires (unless
+        the peer closed meanwhile).  The sender waits on it and gets
+        ``None``.  No closure is made per hop.
+        """
+        peer = self.peer
+        sim = self._sim
+        if self.closed or peer is None or peer.closed:
+            ev = sim.event()
             ev.fail(ConnectionRefused(f"{self.name}: peer closed"))
             return ev
-        peer = self.peer
-        delivered = self._sim.timeout(self._latency)
-        delivered.add_callback(lambda _e: peer._deliver(payload))
-        return delivered
-
-    def _deliver(self, payload: object) -> None:
-        if not self.closed:
-            self._inbox.put(payload)
+        # Simulator.timeout's construction, inlined for the subclass.
+        hop = _new_event(_Hop)
+        hop.sim = sim
+        hop.name = ""
+        hop.callbacks = _land
+        hop._ok = True
+        hop._value = None
+        hop._state = TRIGGERED
+        hop._defunct = False
+        hop.peer = peer
+        hop.payload = payload
+        sim._schedule(hop, self._latency)
+        return hop
 
     def recv(self) -> Event:
         """Event yielding the next payload (or ``None`` after close)."""

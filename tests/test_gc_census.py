@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from repro.cluster import build, nextgenio, small_test
+from repro.cluster import build, nextgenio, replay_scale, small_test
 from repro.faults import fault_profile
 from repro.net.sockets import Credentials
 from repro.norns import NornsClient, TaskType
@@ -156,8 +156,10 @@ def test_armed_chaos_replay_leaves_only_caught_tracebacks():
 
     What does remain is pinned: every probe that timed out leaves its
     ``RpcTimeout`` in a cycle with the traceback of the retry loop that
-    caught it (frame -> ``last_exc`` -> exception -> traceback), and the
-    reply event of the dropped request keeps its timeout guard.
+    caught it (frame -> ``last_exc`` -> exception -> traceback).  The
+    reply of a dropped request no longer forms one with its timeout
+    guard: the guard is an event whose bound ``settle`` is the reply's
+    callback, and settling drops its reference to the reply.
     """
     trace = staged_trace(40, seed=5, chain_length=3, fanout=2,
                          checkpoint_workflows=True, max_runtime=300.0)
@@ -173,5 +175,30 @@ def test_armed_chaos_replay_leaves_only_caught_tracebacks():
     assert res.faults_injected > 0 and res.heartbeat_misses > 0
     for kind in ("Process", "generator", "Channel", "Store", "Flow"):
         assert left[kind] == 0, left
-    assert left["RpcTimeout"] == 16, left
-    assert sum(left.values()) == 227, left
+    assert left["RpcTimeout"] == 12, left
+    assert sum(left.values()) == 71, left
+
+
+def test_armed_heartbeat_ring_triggers_no_collector_pass():
+    """A 64-node ring of heartbeat monitors, 20 probe waves, under the
+    default collector thresholds: a probe allocates no process and no
+    closure, so a wave of 64 probes in flight stays below the
+    allocation count that starts a young-generation pass.  (When every
+    request was served by a process of its own, each wave started one.)
+    """
+    assert gc.isenabled() and gc.get_threshold() == (700, 10, 10)
+    handle = build(replay_scale(n_nodes=64), seed=0)
+    names = sorted(handle.nodes)
+    for i, name in enumerate(names):
+        handle.nodes[name].urd.resilience.arm(
+            watch=(names[(i + 1) % len(names)],))
+    sim = handle.sim
+    sim.run(until=sim.now + 3.5)
+    gc.collect()
+    before = [gen["collections"] for gen in gc.get_stats()]
+    sim.run(until=sim.now + 2.0 * 20)
+    after = [gen["collections"] for gen in gc.get_stats()]
+    probes = sum(handle.nodes[n].urd.resilience.counters.heartbeat_probes
+                 for n in names)
+    assert probes >= 64 * 20
+    assert [a - b for a, b in zip(after, before)] == [0, 0, 0]

@@ -23,8 +23,8 @@ import sys
 from collections import Counter
 
 from repro.cluster import build, nextgenio, replay_scale
-from repro.net.mercury import _deliver_response
-from repro.net.sockets import Credentials
+from repro.net.mercury import _deliver_response, _Guard, _serve
+from repro.net.sockets import Credentials, _land
 from repro.norns import NornsClient, TaskType
 from repro.norns.resources import memory_region, posix_path
 from repro.norns.urd import GID_NORNS_USER
@@ -49,11 +49,14 @@ UNIX_POLL_EVENTS = ("request hop", "server inbox put", "server inbox get",
                     "accept", "urd service", "response hop",
                     "client inbox put", "client inbox get")
 
-#: Upper bounds on Python calls per operation, at what they cost since the hop path was flattened; before,
-#: a probe cost 93, a Mercury poll 100 and an AF_UNIX poll 84.
-PROBE_CALLS = 39
-MERCURY_POLL_CALLS = 63
-UNIX_POLL_CALLS = 70
+#: Upper bounds on Python calls per operation, at what they cost since
+#: requests are served by dispatch events instead of a process each (and
+#: a socket hop carries its payload instead of a closure); before, a
+#: probe cost 38, a Mercury poll 63 and an AF_UNIX poll 70, and before
+#: the hop path was flattened, 93, 100 and 84.
+PROBE_CALLS = 31
+MERCURY_POLL_CALLS = 56
+UNIX_POLL_CALLS = 66
 
 
 def _role(process_name: str) -> str:
@@ -61,7 +64,7 @@ def _role(process_name: str) -> str:
     if ":hb:" in process_name:
         return "heartbeat monitor"
     if process_name.startswith("hg:"):
-        return "progress loop" if ":prog" in process_name else "dispatch"
+        return "progress loop"
     if process_name == "handler":
         return "handler"
     if process_name.endswith(":conn"):
@@ -85,13 +88,18 @@ def name_event(ev) -> str:
     if name.startswith("rpc:"):
         return "guarded" if name.endswith(":guarded") else "reply"
     cbs = ev.callbacks
+    if cbs is _serve:               # the progress loop's hand-off
+        return "dispatch boot"
+    if cbs is None and name.startswith("hg:"):
+        return "dispatch exit"      # posted by _Dispatch.finish
     if cbs is _deliver_response:
         return "response hop"
     if getattr(cbs, "__func__", None) is Store.put:
         return "request hop"
-    if getattr(cbs, "__name__", None) == "settle":
+    if getattr(cbs, "__func__", None) is _Guard.settle:
         return "deadline"
-    if isinstance(cbs, list):       # Channel.send's delivery + the sender
+    if isinstance(cbs, list):       # Channel.send's hop + the sender
+        assert cbs[0] is _land
         sender = _role(cbs[-1].__self__.name)
         return "response hop" if sender == "urd connection" else "request hop"
     owner = cbs.__self__              # a process's resume hook

@@ -133,6 +133,34 @@ class TestChannel:
         # connect (1ms) + send (1ms) = 2ms.
         assert stamps[0] == pytest.approx(2e-3)
 
+    def test_sender_gets_none_and_a_closed_peer_drops_the_hop(self, sim,
+                                                               hub):
+        lst = hub.listen("/svc", Credentials.root(), mode=0o666)
+        got, ends = [], []
+
+        def server():
+            ch = yield lst.accept()
+            ends.append(ch)
+            # Closes after the client sent, before its hop lands.
+            yield sim.timeout(hub.ipc_latency / 2)
+            ch.close()
+
+        def client():
+            ch = yield hub.connect("/svc", Credentials.root())
+            got.append((yield ch.send(b"x")))
+
+        sim.process(server())
+        sim.process(client())
+        sim.run()
+        assert got == [None]
+        assert len(ends[0]._inbox) == 0
+
+    def test_negative_latency_is_refused(self, sim):
+        hub = LocalSocketHub(sim, ipc_latency=-1e-6)
+        hub.listen("/svc", Credentials.root(), mode=0o666)
+        with pytest.raises(SimError, match="negative IPC latency"):
+            hub.connect("/svc", Credentials.root())
+
     def test_close_delivers_eof(self, sim, hub):
         lst = hub.listen("/svc", Credentials.root(), mode=0o666)
         got = []

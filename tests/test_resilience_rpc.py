@@ -85,6 +85,63 @@ class TestIdempotencyDedup:
         assert len(calls) == 1
         assert ep1.duplicates_suppressed == 1
 
+    def test_duplicate_parked_on_evicted_entry_is_answered(self,
+                                                           monkeypatch):
+        """An in-flight original whose table entry was evicted still
+        answers the duplicates parked on it, with its own outcome."""
+        from repro.net.mercury import MercuryEndpoint
+        monkeypatch.setattr(MercuryEndpoint, "DEDUP_CAPACITY", 1)
+        c = build_cluster(2)
+        ep0 = c.node("node0").urd.endpoint
+        ep1 = c.node("node1").urd.endpoint
+        calls = []
+
+        def slow(payload, origin):
+            calls.append(payload)
+            yield c.sim.timeout(1.0)
+            return b"slow-pong"
+
+        ep1.register("test.slow", slow)
+        ep1.register("test.echo", lambda payload, origin: payload)
+
+        def go():
+            start = c.sim.now
+            first = ep0.call("node1", "test.slow", b"x", key="dup")
+            yield c.sim.timeout(0.1)
+            second = ep0.call("node1", "test.slow", b"x", key="dup",
+                              timeout=5.0)
+            yield c.sim.timeout(0.1)
+            # A third keyed call evicts "dup" while it is in flight.
+            other = yield ep0.call("node1", "test.echo", b"y", key="other")
+            a = yield first
+            b = yield second
+            return a, b, other, c.sim.now - start
+
+        a, b, other, elapsed = c.run(go())
+        assert a == b == b"slow-pong"
+        assert other == b"y"
+        assert elapsed < 1.5
+        assert len(calls) == 1
+        assert ep1.duplicates_suppressed == 1
+        assert list(ep1._dedup) == ["other"]
+
+    def test_duplicate_of_unknown_rpc_gets_the_same_error(self):
+        c = build_cluster(2)
+        ep0 = c.node("node0").urd.endpoint
+
+        def go():
+            outcomes = []
+            for _ in range(2):
+                try:
+                    yield ep0.call("node1", "test.nothing", b"x", key="k",
+                                   timeout=5.0)
+                except NetworkError as exc:
+                    outcomes.append(type(exc).__name__)
+            return outcomes
+
+        assert c.run(go()) == ["NetworkError", "NetworkError"]
+        assert c.node("node1").urd.endpoint.duplicates_suppressed == 1
+
     def test_distinct_keys_both_served(self):
         c = build_cluster(2)
         ep0 = c.node("node0").urd.endpoint
