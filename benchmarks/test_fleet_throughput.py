@@ -27,15 +27,14 @@ artifact records the scaling.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import time
 
 import pytest
 
-from repro.experiments.fleet import (
-    FleetReport, ProcessPoolDispatcher, SerialDispatcher, SweepMatrix,
-)
+from repro.experiments.fleet import SweepMatrix, run_sweep
 
 QUICK = bool(os.environ.get("FLEET_BENCH_QUICK"))
 
@@ -53,22 +52,28 @@ def sweep_matrix(n_policies: int, n_jobs: int) -> SweepMatrix:
                       stage_bytes_mean=4e9, stage_files=2))
 
 
+class ShuffledMatrix(SweepMatrix):
+    """The same runs, submitted in a seeded random order."""
+
+    def expand(self):
+        specs = super().expand()
+        random.Random(3).shuffle(specs)
+        return specs
+
+
 def sweep_serial_pooled_shuffled(matrix, workers, benchmark=None):
     """Run ``matrix`` serially, over the pool, and over the pool in a
     shuffled order; assert all three byte-identical.  Returns the
     serial and pooled wall seconds."""
-    specs = matrix.expand()
-
     t0 = time.perf_counter()
-    serial = SerialDispatcher().run_all(specs)
+    serial = run_sweep(matrix)
     serial_wall = time.perf_counter() - t0
 
     pooled = {}
 
     def pool_run():
-        pool = ProcessPoolDispatcher(workers=workers)
-        pooled["results"] = pool.run_all(specs)
-        return pooled["results"]
+        pooled["report"] = run_sweep(matrix, workers=workers)
+        return pooled["report"]
 
     t0 = time.perf_counter()
     if benchmark is None:
@@ -77,20 +82,15 @@ def sweep_serial_pooled_shuffled(matrix, workers, benchmark=None):
         benchmark.pedantic(pool_run, rounds=1, iterations=1)
     pool_wall = time.perf_counter() - t0
 
-    shuffled_specs = list(specs)
-    random.Random(3).shuffle(shuffled_specs)
-    shuffled = ProcessPoolDispatcher(workers=workers).run_all(
-        shuffled_specs)
+    shuffled = run_sweep(
+        ShuffledMatrix(**{f.name: getattr(matrix, f.name)
+                          for f in dataclasses.fields(matrix)}),
+        workers=workers)
 
-    def merged(results):
-        return FleetReport.merge(
-            results, name=matrix.name, sweep_seed=matrix.sweep_seed,
-            axis_names=matrix.axis_names).to_text()
-
-    assert merged(pooled["results"]) == merged(serial)
-    assert merged(shuffled) == merged(serial)
-    by_id = {r.run_id: r for r in serial}
-    for res in list(pooled["results"]) + list(shuffled):
+    assert pooled["report"].to_text() == serial.to_text()
+    assert shuffled.to_text() == serial.to_text()
+    by_id = {r.run_id: r for r in serial.results}
+    for res in pooled["report"].results + shuffled.results:
         assert res.report_text == by_id[res.run_id].report_text
     return serial_wall, pool_wall
 

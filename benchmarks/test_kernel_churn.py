@@ -24,12 +24,12 @@ through a replay-shaped mixed churn workload of ~1M events:
 
 The gate asserts the fast kernel is **>= 3x** the reference kernel on
 this workload (a ``wallclock`` test, deselected by default — see
-``pytest.ini``) and that both dispatch *identical* event counts (a
-cheap full-workload parity check on top of ``tests/test_kernel_parity``,
-always run).  The reference kernel's own timing record carries the
-``fullsize`` marker, which ``pytest.ini`` deselects by default (the CI
-kernel step selects every marker back); the parity check still runs
-the reference kernel at full size when that record did not.
+``pytest.ini``) and that both dispatch *identical* event counts and
+defunct skips (a full-workload parity check on top of
+``tests/test_kernel_parity``).  The reference kernel's timing record
+and the full-size parity check carry the ``fullsize`` marker, which
+``pytest.ini`` deselects by default (the CI kernel step selects every
+marker back); tier-1 keeps the same exact parity at ``PARITY_SCALE``.
 
 Set ``KERNEL_BENCH_QUICK=1`` to run at 1/4 scale (~250k events) for
 local iteration; CI runs the full 1M-event workload.
@@ -49,6 +49,8 @@ QUICK = bool(os.environ.get("KERNEL_BENCH_QUICK"))
 #: scale=125_000 yields ~1.0M dispatched events (see test assertions).
 SCALE = 31_250 if QUICK else 125_000
 KERNELS = {"fast": Simulator, "reference": ReferenceSimulator}
+#: the tier-1 parity check's scale (~66k events, every churn lane).
+PARITY_SCALE = 8_192
 #: the CI gate: fast kernel must beat the oracle by this factor.
 MIN_SPEEDUP = 3.0
 
@@ -171,13 +173,24 @@ def _both_kernels():
     return _RESULTS["fast"], _RESULTS["reference"]
 
 
-def test_kernels_dispatch_identical_counts():
-    """The deterministic half of the gate: both kernels dispatch the
-    same events and skip the same cancelled entries."""
-    (_, ev_fast, stats_fast), (_, ev_ref, stats_ref) = _both_kernels()
+def assert_same_dispatch(fast, ref):
+    (_, ev_fast, stats_fast), (_, ev_ref, stats_ref) = fast, ref
     assert ev_fast == ev_ref, (
         f"kernels disagree on event count: fast={ev_fast} ref={ev_ref}")
     assert stats_fast["defunct_skips"] == stats_ref["defunct_skips"]
+
+
+@pytest.mark.fullsize
+def test_kernels_dispatch_identical_counts():
+    """The deterministic half of the gate: both kernels dispatch the
+    same events and skip the same cancelled entries."""
+    assert_same_dispatch(*_both_kernels())
+
+
+def test_kernels_dispatch_identical_counts_reduced():
+    """The same parity at ``PARITY_SCALE``, inside tier-1."""
+    assert_same_dispatch(run_mixed(Simulator, PARITY_SCALE),
+                         run_mixed(ReferenceSimulator, PARITY_SCALE))
 
 
 @pytest.mark.wallclock

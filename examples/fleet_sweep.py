@@ -19,9 +19,7 @@ The same flow is available from the command line::
 Run:  python examples/fleet_sweep.py
 """
 
-from repro.experiments.fleet import (
-    FleetReport, ProcessPoolDispatcher, SerialDispatcher, SweepMatrix,
-)
+from repro.experiments.fleet import SweepMatrix, run_sweep
 
 
 def main() -> None:
@@ -41,13 +39,8 @@ def main() -> None:
     # the identical workload.
     assert len({s.seed for s in specs}) == 1
 
-    def merged(results):
-        return FleetReport.merge(
-            results, name=matrix.name, sweep_seed=matrix.sweep_seed,
-            axis_names=matrix.axis_names)
-
-    serial = merged(SerialDispatcher().run_all(specs))
-    pooled = merged(ProcessPoolDispatcher(workers=2).run_all(specs))
+    serial = run_sweep(matrix)
+    pooled = run_sweep(matrix, workers=2)
     assert pooled.to_text() == serial.to_text()
     print("serial and process-pool reports are byte-identical\n")
     print(pooled.to_text())

@@ -13,7 +13,7 @@ from repro.storage.pfs import PfsConfig
 from repro.util.units import GB, GiB, MB, TB
 
 __all__ = ["nextgenio", "archer_like", "marenostrum4_like", "small_test",
-           "replay_scale"]
+           "replay_scale", "PRESETS"]
 
 
 def nextgenio(n_nodes: int = 34, track_nvme: bool = False,
@@ -218,3 +218,9 @@ def small_test(n_nodes: int = 4, scheduler: str = "backfill",
         scheduler_policy=scheduler,
         fault_profile=fault_profile,
     )
+
+
+#: the presets a command line or a sweep's RunSpec may name, by name,
+#: in the order ``repro-slurm --preset`` lists them.
+PRESETS = {"replay_scale": replay_scale, "nextgenio": nextgenio,
+           "small_test": small_test}

@@ -15,7 +15,7 @@ Every arm executes through the sweep fleet (:mod:`repro.experiments
 seed axis: every arm derives the same child seed, so trace, cluster and
 fault schedule are identical across arms and the curve is
 deterministic — same seed ⇒ byte-identical table, whatever the
-dispatcher (``workers > 1`` fans the arms out over processes).
+worker count (``workers > 1`` fans the arms out over processes).
 
 ``quick`` replays 60 jobs on 8 nodes per arm; ``--full`` replays 1,000
 jobs on the 48-node ``replay_scale`` preset.
@@ -23,9 +23,7 @@ jobs on the 48-node ``replay_scale`` preset.
 
 from __future__ import annotations
 
-from repro.experiments.fleet import (
-    FleetRunner, SweepMatrix, make_dispatcher,
-)
+from repro.experiments.fleet import SweepMatrix, run_sweep
 from repro.experiments.harness import ExperimentResult
 
 __all__ = ["run", "INTERVALS"]
@@ -55,8 +53,7 @@ def run(quick: bool = True, seed: int = 0,
             checkpoint_workflows=True,
         ),
         replay=dict(checkpoint_bytes=256_000_000))
-    fleet = FleetRunner(matrix,
-                        dispatcher=make_dispatcher(workers)).run()
+    fleet = run_sweep(matrix, workers=workers)
 
     result = ExperimentResult(
         exp_id="checkpoint_sweep",

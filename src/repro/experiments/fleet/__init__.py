@@ -6,19 +6,15 @@ over scheduling policy, fault profile, workload preset, seed ensemble,
 and arbitrary ``ClusterSpec`` overrides) expands into position-
 independent :class:`RunSpec`\\ s with deterministic per-shard seeding
 (``(sweep_seed, axis values) → child seed``, stable under reordering
-and subsetting), executed through a :class:`RunDispatcher`:
-
-* :class:`SerialDispatcher` — in-process (tests, debugging, oracle);
-* :class:`ProcessPoolDispatcher` — local worker processes with
-  warm-up, bounded in-flight submissions, per-run timeout and
-  retry-on-worker-crash;
-* :class:`CallbackDispatcher` — the adapter seam for remote workers.
+and subsetting), executed by :func:`run_sweep` — serially in the
+caller, or on one local process pool with worker warm-up, bounded
+in-flight submissions, per-run timeout and retry-on-worker-crash.
 
 Each shard lands in a self-describing artifact directory (config echo,
 per-job metrics JSONL, replay report, wall/RSS run stats) and a
 :class:`FleetReport` merges the shards into one cross-run table keyed
 by the sweep axes — byte-reproducible for a fixed matrix + seed
-whatever the execution mode, because every run is a pure function of
+whatever the worker count, because every run is a pure function of
 its spec and the merge order is canonical.
 """
 
@@ -28,18 +24,12 @@ from repro.experiments.fleet.matrix import (
 from repro.experiments.fleet.runspec import (
     RunResult, RunSpec, execute_run, measured_run,
 )
-from repro.experiments.fleet.dispatch import (
-    CallbackDispatcher, FleetError, ProcessPoolDispatcher,
-    RunDispatcher, SerialDispatcher,
-)
 from repro.experiments.fleet.report import FleetReport
-from repro.experiments.fleet.runner import FleetRunner, make_dispatcher
+from repro.experiments.fleet.runner import FleetError, run_sweep
 from repro.experiments.fleet import artifacts
 
 __all__ = [
     "SweepMatrix", "child_seed", "parse_axis", "WORKLOAD_PRESETS",
     "RunSpec", "RunResult", "execute_run", "measured_run",
-    "RunDispatcher", "SerialDispatcher", "ProcessPoolDispatcher",
-    "CallbackDispatcher", "FleetError",
-    "FleetReport", "FleetRunner", "make_dispatcher", "artifacts",
+    "FleetError", "FleetReport", "run_sweep", "artifacts",
 ]

@@ -4,8 +4,8 @@ A :class:`SweepMatrix` is the cartesian product of named axes — the
 scheduling policy, the fault profile, the workload-synthesizer preset,
 the seed ensemble, plus arbitrary ``ClusterSpec``/synthesizer/replay
 overrides — expanded into self-contained :class:`~repro.experiments
-.fleet.runspec.RunSpec` descriptions that a dispatcher can execute
-anywhere (in process, in a worker process, on a remote worker).
+.fleet.runspec.RunSpec` descriptions that execute the same in process
+or in a worker process.
 
 Seeding discipline mirrors :class:`~repro.sim.rng.RngRegistry`: every
 run's child seed is derived from ``(sweep_seed, its own seed-axis
@@ -29,8 +29,9 @@ from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster.presets import PRESETS
 from repro.errors import ReproError
-from repro.experiments.fleet.runspec import PRESETS, RunSpec
+from repro.experiments.fleet.runspec import RunSpec
 from repro.util.units import GB
 
 __all__ = [

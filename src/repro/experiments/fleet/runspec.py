@@ -5,9 +5,9 @@ JSON-able, position-independent.  :func:`execute_run` is deliberately a
 *pure function* of its spec — it builds a fresh cluster, synthesizes the
 trace from the spec's own seed, replays, and returns a
 :class:`RunResult` — so the same spec produces byte-identical results
-whether it runs in-process, in a ``ProcessPoolExecutor`` worker, or on
-a remote machine via the callback dispatcher.  Nothing here reads the
-cwd, mutates module globals, or depends on submission order.
+whether it runs in-process or in a ``ProcessPoolExecutor`` worker.
+Nothing here reads the cwd, mutates module globals, or depends on
+submission order.
 """
 
 from __future__ import annotations
@@ -19,21 +19,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cluster.presets import PRESETS
 from repro.errors import ReproError
 
-__all__ = ["RunSpec", "RunResult", "PRESETS", "execute_run",
-           "measured_run"]
-
-#: cluster presets a RunSpec may name (resolved lazily to keep import
-#: costs out of the worker warm-up path).
-PRESETS = ("replay_scale", "small_test", "nextgenio")
-
-
-def _preset(name: str):
-    from repro.cluster import nextgenio, replay_scale, small_test
-    table = {"replay_scale": replay_scale, "nextgenio": nextgenio,
-             "small_test": small_test}
-    return table[name]
+__all__ = ["RunSpec", "RunResult", "execute_run", "measured_run"]
 
 
 @dataclass(frozen=True)
@@ -148,7 +137,7 @@ def execute_run(spec: RunSpec) -> RunResult:
         raise ReproError(f"bad workload override: {exc}") from None
     trace = synthesize(synth_cfg, seed=spec.seed)
 
-    cluster = _preset(spec.preset)(n_nodes=spec.n_nodes)
+    cluster = PRESETS[spec.preset](n_nodes=spec.n_nodes)
     if spec.spec_overrides:
         try:
             cluster = dataclasses.replace(cluster,

@@ -9,11 +9,11 @@ node utilization, makespan — are tabulated side by side.
 
 The replays execute through the sweep fleet
 (:mod:`repro.experiments.fleet`): a one-axis matrix over the policy
-registry, dispatched serially by default or over worker processes with
+registry, run serially by default or over worker processes with
 ``workers > 1``.  The matrix carries no seed axis, so every arm derives
 the *same* child seed — identical trace, identical cluster, policy the
 only difference — and the comparison report is deterministic: same
-seed ⇒ byte-identical table whatever the dispatcher.
+seed ⇒ byte-identical table whatever the worker count.
 
 ``quick`` replays 120 jobs on 8 nodes per policy; ``--full`` replays
 2,000 jobs on the 64-node ``replay_scale`` preset.
@@ -21,9 +21,7 @@ seed ⇒ byte-identical table whatever the dispatcher.
 
 from __future__ import annotations
 
-from repro.experiments.fleet import (
-    FleetRunner, SweepMatrix, make_dispatcher,
-)
+from repro.experiments.fleet import SweepMatrix, run_sweep
 from repro.experiments.harness import ExperimentResult
 from repro.slurm.policies import available_policies
 
@@ -51,8 +49,7 @@ def run(quick: bool = True, seed: int = 0,
             stage_bytes_mean=8e9,
             stage_files=2,
         ))
-    fleet = FleetRunner(matrix,
-                        dispatcher=make_dispatcher(workers)).run()
+    fleet = run_sweep(matrix, workers=workers)
 
     result = ExperimentResult(
         exp_id="policies",

@@ -15,7 +15,7 @@ Both arms execute through the sweep fleet (:mod:`repro.experiments
 .fleet`) as a one-axis ``fault_profile`` matrix with no seed axis:
 every arm derives the same child seed, so the comparison is
 deterministic — same seed ⇒ byte-identical table, run after run,
-whatever the dispatcher (``workers > 1`` fans the arms out over
+whatever the worker count (``workers > 1`` fans the arms out over
 processes).
 
 ``quick`` replays 80 jobs on 8 nodes per arm; ``--full`` replays 1,500
@@ -24,9 +24,7 @@ jobs on the 48-node ``replay_scale`` preset.
 
 from __future__ import annotations
 
-from repro.experiments.fleet import (
-    FleetRunner, SweepMatrix, make_dispatcher,
-)
+from repro.experiments.fleet import SweepMatrix, run_sweep
 from repro.experiments.harness import ExperimentResult
 
 __all__ = ["run"]
@@ -51,8 +49,7 @@ def run(quick: bool = True, seed: int = 0,
             stage_bytes_mean=4e9,
             stage_files=2,
         ))
-    fleet = FleetRunner(matrix,
-                        dispatcher=make_dispatcher(workers)).run()
+    fleet = run_sweep(matrix, workers=workers)
     baseline = fleet.run("fault_profile=none")
     faulted = fleet.run("fault_profile=chaos")
     base, chaos = baseline.metrics, faulted.metrics

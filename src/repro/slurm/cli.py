@@ -28,8 +28,8 @@ The module is also runnable — ``python -m repro.slurm.cli <command>``:
   and prints the round-by-round recovery report;
 * ``sweep`` expands a declarative sweep matrix (``--axis
   policy=fifo,backfill --axis fault_profile=none,chaos ...``) and fans
-  the runs out over worker processes via the fleet runner
-  (:mod:`repro.experiments.fleet`), printing the merged cross-run
+  the runs out over worker processes via
+  :func:`repro.experiments.fleet.run_sweep`, printing the merged cross-run
   report; ``--out DIR`` persists per-run artifact directories and
   ``--resume`` skips shards already COMPLETE in them;
 * ``policies`` lists the registered scheduling policies;
@@ -50,6 +50,7 @@ import argparse
 import sys
 from typing import Optional
 
+from repro.cluster.presets import PRESETS
 from repro.errors import ReproError
 from repro.slurm.policies import available_policies
 from repro.slurm.slurmctld import Slurmctld
@@ -57,8 +58,6 @@ from repro.util.tables import render_table
 from repro.util.units import format_bytes, format_seconds
 
 __all__ = ["squeue", "sacct", "sworkflow", "sinfo", "main"]
-
-_PRESETS = ("replay_scale", "nextgenio", "small_test")
 
 
 def squeue(ctld: Slurmctld) -> str:
@@ -159,7 +158,7 @@ def _add_replay_options(p) -> None:
     p.add_argument("--stage-bytes", type=float, default=4e9,
                    help="mean staged bytes per workflow job")
     p.add_argument("--preset", default="replay_scale",
-                   choices=_PRESETS,
+                   choices=PRESETS,
                    help="cluster preset to build")
     p.add_argument("--nodes", type=int, default=0,
                    help="override the preset's node count")
@@ -194,16 +193,14 @@ def _load_or_synthesize(args):
     return synthesize(cfg, seed=args.seed)
 
 
-def _cmd_replay(args) -> int:
-    from repro.traces import ReplayConfig, TraceReplayer, dump_jsonl, dump_swf
+def _replay(args, trace, traced=False, categories=None):
+    """The body replay, trace and top share: build the preset (under
+    the repro.obs tracer if ``traced``) and replay ``trace`` through
+    it.  Returns the report and the tracer (None unless ``traced``)."""
+    from repro.traces import ReplayConfig, TraceReplayer
 
-    trace = _load_or_synthesize(args)
-    if args.save_trace:
-        if args.save_trace.endswith(".swf"):
-            dump_swf(trace, args.save_trace)
-        else:
-            dump_jsonl(trace, args.save_trace)
     handle = _build_preset(args)
+    tracer = handle.enable_tracing(categories) if traced else None
     plan = _resolve_fault_plan(args, handle, trace)
     replayer = TraceReplayer(
         handle, trace,
@@ -215,6 +212,21 @@ def _cmd_replay(args) -> int:
                      checkpoint_bytes=args.checkpoint_bytes,
                      fault_plan=plan))
     report = replayer.run()
+    if tracer is not None:
+        tracer.close_open()
+    return report, tracer
+
+
+def _cmd_replay(args) -> int:
+    from repro.traces import dump_jsonl, dump_swf
+
+    trace = _load_or_synthesize(args)
+    if args.save_trace:
+        if args.save_trace.endswith(".swf"):
+            dump_swf(trace, args.save_trace)
+        else:
+            dump_jsonl(trace, args.save_trace)
+    report, _ = _replay(args, trace)
     print(report.to_text(perf=args.perf))
     return 0 if report.completed == trace.n_jobs else 1
 
@@ -260,29 +272,6 @@ def _build_top_parser(sub) -> None:
     p.set_defaults(func=_cmd_top)
 
 
-def _traced_replay(args, categories=None):
-    """Shared trace/top body: replay under a tracer; returns
-    (report, tracer, trace)."""
-    from repro.traces import ReplayConfig, TraceReplayer
-
-    trace = _load_or_synthesize(args)
-    handle = _build_preset(args)
-    tracer = handle.enable_tracing(categories)
-    plan = _resolve_fault_plan(args, handle, trace)
-    replayer = TraceReplayer(
-        handle, trace,
-        ReplayConfig(time_compression=args.compression,
-                     batch_window=args.batch_window,
-                     runtime_scale=args.runtime_scale,
-                     scheduler=args.scheduler,
-                     checkpoint_interval=args.checkpoint_interval,
-                     checkpoint_bytes=args.checkpoint_bytes,
-                     fault_plan=plan))
-    report = replayer.run()
-    tracer.close_open()
-    return report, tracer, trace
-
-
 def _cmd_trace(args) -> int:
     from repro.obs import chrome_trace, metrics_jsonl, spans_jsonl
     from repro.obs.export import summarize_spans
@@ -291,10 +280,12 @@ def _cmd_trace(args) -> int:
     cats = tuple(c.strip() for c in args.only.split(",") if c.strip())
     for cat in cats:
         if cat not in CATEGORIES:
-            raise SystemExit(
+            raise ReproError(
                 f"unknown span category {cat!r} "
                 f"(known: {', '.join(CATEGORIES)})")
-    report, tracer, trace = _traced_replay(args, cats or None)
+    trace = _load_or_synthesize(args)
+    report, tracer = _replay(args, trace, traced=True,
+                             categories=cats or None)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(chrome_trace(tracer))
@@ -315,7 +306,8 @@ def _cmd_trace(args) -> int:
 def _cmd_top(args) -> int:
     from repro.obs import top_table
 
-    report, tracer, trace = _traced_replay(args)
+    trace = _load_or_synthesize(args)
+    report, tracer = _replay(args, trace, traced=True)
     print(top_table(tracer, limit=args.limit))
     return 0 if report.completed == trace.n_jobs else 1
 
@@ -332,7 +324,7 @@ def _build_run_parser(sub) -> None:
                     "workflow options and time limits drive the run.")
     p.add_argument("scripts", nargs="+", metavar="SCRIPT",
                    help="batch script files, submitted in order")
-    p.add_argument("--preset", default="small_test", choices=_PRESETS,
+    p.add_argument("--preset", default="small_test", choices=PRESETS,
                    help="cluster preset to build")
     p.add_argument("--nodes", type=int, default=0,
                    help="override the preset's node count")
@@ -420,7 +412,7 @@ def _build_workflows_parser(sub) -> None:
                    help="stage count for --pipeline deep-chain")
     p.add_argument("--runtime", type=float, default=64.0,
                    help="base stage runtime in virtual seconds")
-    p.add_argument("--preset", default="small_test", choices=_PRESETS,
+    p.add_argument("--preset", default="small_test", choices=PRESETS,
                    help="cluster preset to build")
     p.add_argument("--nodes", type=int, default=0,
                    help="override the preset's node count")
@@ -473,7 +465,7 @@ def _cmd_workflows(args) -> int:
     return 0 if report.completed else 1
 
 
-# -- sweep: sharded parallel sweeps via the fleet runner ----------------
+# -- sweep: sharded parallel sweeps via the fleet's run_sweep -----------
 def _build_sweep_parser(sub) -> None:
     p = sub.add_parser(
         "sweep",
@@ -481,7 +473,7 @@ def _build_sweep_parser(sub) -> None:
         description="Expand a declarative sweep matrix (cartesian "
                     "product of --axis values) into per-run specs with "
                     "deterministic per-shard seeding, execute them "
-                    "through the fleet dispatcher, and print the "
+                    "serially or over a process pool, and print the "
                     "merged cross-run report.  Known axes: policy, "
                     "fault_profile, workload, preset, nodes, seed; "
                     "prefix arbitrary overrides with spec. / "
@@ -496,7 +488,7 @@ def _build_sweep_parser(sub) -> None:
                    help="write per-run artifact directories under DIR")
     p.add_argument("--resume", action="store_true",
                    help="skip runs already COMPLETE under --out")
-    p.add_argument("--preset", default="replay_scale", choices=_PRESETS,
+    p.add_argument("--preset", default="replay_scale", choices=PRESETS,
                    help="cluster preset each run builds")
     p.add_argument("--nodes", type=int, default=8,
                    help="node count per run (a nodes axis overrides)")
@@ -525,21 +517,20 @@ def _build_sweep_parser(sub) -> None:
 
 def _cmd_sweep(args) -> int:
     from repro.experiments.fleet import (
-        WORKLOAD_PRESETS, FleetRunner, SweepMatrix, make_dispatcher,
-        parse_axis,
+        WORKLOAD_PRESETS, SweepMatrix, parse_axis, run_sweep,
     )
     if not args.axis:
-        raise SystemExit("sweep needs at least one --axis")
+        raise ReproError("sweep needs at least one --axis")
     axes = {}
     for arg in args.axis:
         name, values = parse_axis(arg)
         if name in axes:
-            raise SystemExit(f"duplicate --axis {name!r}")
+            raise ReproError(f"duplicate --axis {name!r}")
         axes[name] = values
     workload = {"n_jobs": args.jobs}
     if args.workload:
         if args.workload not in WORKLOAD_PRESETS:
-            raise SystemExit(
+            raise ReproError(
                 f"unknown --workload {args.workload!r} (known: "
                 f"{', '.join(sorted(WORKLOAD_PRESETS))})")
         workload.update(WORKLOAD_PRESETS[args.workload])
@@ -552,19 +543,16 @@ def _cmd_sweep(args) -> int:
             axes, sweep_seed=args.seed, name="cli-sweep",
             preset=args.preset, n_nodes=args.nodes,
             workload=workload, replay=replay, obs=args.obs)
-        runner = FleetRunner(
-            matrix,
-            dispatcher=make_dispatcher(
-                workers=args.workers,
-                timeout=args.timeout or None,
-                retries=args.retries),
-            out_dir=args.out or None, resume=args.resume)
-        report = runner.run()
+        report = run_sweep(
+            matrix, workers=args.workers, timeout=args.timeout or None,
+            retries=args.retries, out_dir=args.out or None,
+            resume=args.resume)
     except ReproError as exc:
-        raise SystemExit(f"sweep failed: {exc}")
-    if runner.resumed:
-        print(f"resumed {len(runner.resumed)} completed run(s) from "
-              f"{args.out}")
+        raise ReproError(f"sweep failed: {exc}") from exc
+    resumed = sum(1 for r in report.results
+                  if r.runstats.get("loaded_from_artifact"))
+    if resumed:
+        print(f"resumed {resumed} completed run(s) from {args.out}")
     print(report.to_text())
     if args.perf:
         from repro.obs import MetricsRegistry, collect_kernel_stats
@@ -708,11 +696,9 @@ def _add_scheduler_option(p) -> None:
 
 
 def _build_preset(args):
-    from repro.cluster import build, nextgenio, replay_scale, small_test
+    from repro.cluster import build
 
-    presets = {"replay_scale": replay_scale, "nextgenio": nextgenio,
-               "small_test": small_test}
-    preset = presets[args.preset]
+    preset = PRESETS[args.preset]
     kwargs = {}
     if args.nodes:
         kwargs["n_nodes"] = args.nodes

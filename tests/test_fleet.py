@@ -1,16 +1,20 @@
-"""The sweep fleet: seeding, expansion, dispatch, artifacts, CLI.
+"""The sweep fleet: seeding, expansion, execution, artifacts, CLI.
 
 The contract under test is byte-reproducibility: a fixed matrix + seed
 produces the identical merged :class:`FleetReport` — and identical
 per-run replay reports — whether the shards execute serially, over a
-process pool, over a pool in shuffled submission order, through the
-callback adapter, or resumed from a half-finished artifact directory.
-Worker crashes mid-sweep must retry and converge to the same bytes.
+process pool, over a pool in shuffled submission order, or resumed
+from a half-finished artifact directory.  Worker crashes mid-sweep
+must retry and converge to the same bytes; the crash is injected from
+the test by patching ``runspec.execute_run`` before the fork-started
+pool exists, so every worker inherits it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import multiprocessing
 import os
 import random
 
@@ -18,10 +22,8 @@ import pytest
 
 from repro.errors import ReproError
 from repro.experiments.fleet import (
-    CallbackDispatcher, FleetError, FleetReport, FleetRunner,
-    ProcessPoolDispatcher, RunSpec, SerialDispatcher, SweepMatrix,
-    artifacts, child_seed, execute_run, make_dispatcher, measured_run,
-    parse_axis,
+    FleetError, FleetReport, RunSpec, SweepMatrix, artifacts, child_seed, execute_run,
+    measured_run, parse_axis, run_sweep, runspec,
 )
 from repro.slurm.cli import main as cli_main
 
@@ -41,10 +43,42 @@ def tiny_matrix(**kw):
     return SweepMatrix.from_axes(axes, **base)
 
 
-def merged_text(matrix, results):
-    return FleetReport.merge(
-        results, name=matrix.name, sweep_seed=matrix.sweep_seed,
-        axis_names=matrix.axis_names).to_text()
+class ShuffledMatrix(SweepMatrix):
+    """The same runs, submitted in a seeded random order."""
+
+    def expand(self):
+        specs = super().expand()
+        random.Random(3).shuffle(specs)
+        return specs
+
+
+def shuffled(matrix):
+    return ShuffledMatrix(**{f.name: getattr(matrix, f.name)
+                             for f in dataclasses.fields(matrix)})
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the injected crash reaches pool workers only when they fork")
+
+
+def crash_worker(monkeypatch, run_id, once=None):
+    """Make the pool worker that runs ``run_id`` die hard.
+
+    Patches ``runspec.execute_run``; call it before the pool is
+    created.  With ``once`` (a path), only the attempt that finds no
+    file there dies, and it leaves the file behind.
+    """
+    real = runspec.execute_run
+
+    def execute_run(spec):
+        if spec.run_id == run_id and (once is None or not once.exists()):
+            if once is not None:
+                once.write_text("crashed\n")
+            os._exit(13)
+        return real(spec)
+
+    monkeypatch.setattr(runspec, "execute_run", execute_run)
 
 
 class TestChildSeed:
@@ -155,94 +189,63 @@ class TestExecuteRun:
 
 
 class TestDispatchers:
-    def test_serial_oracle_and_callback_agree(self):
+    def test_pool_matches_serial_even_shuffled(self, tmp_path):
         m = tiny_matrix()
-        specs = m.expand()
-        serial = SerialDispatcher().run_all(specs)
-        cb = CallbackDispatcher(measured_run).run_all(specs)
-        assert merged_text(m, serial) == merged_text(m, cb)
-        assert [r.run_id for r in serial] == [s.run_id for s in specs]
-
-    def test_callback_rejects_non_result(self):
-        with pytest.raises(FleetError):
-            CallbackDispatcher(lambda spec: "nope").run_all(
-                tiny_matrix().expand())
-
-    def test_make_dispatcher_switches_on_workers(self):
-        assert isinstance(make_dispatcher(1), SerialDispatcher)
-        assert isinstance(make_dispatcher(3), ProcessPoolDispatcher)
-        with pytest.raises(ReproError):
-            ProcessPoolDispatcher(workers=0)
-
-    def test_pool_matches_serial_even_shuffled(self):
-        m = tiny_matrix()
-        specs = m.expand()
-        serial = SerialDispatcher().run_all(specs)
-        pool = ProcessPoolDispatcher(workers=2).run_all(specs)
-        shuffled_specs = list(specs)
-        random.Random(9).shuffle(shuffled_specs)
-        shuffled = ProcessPoolDispatcher(workers=2).run_all(
-            shuffled_specs)
-        assert merged_text(m, pool) == merged_text(m, serial)
-        assert merged_text(m, shuffled) == merged_text(m, serial)
-        by_id = {r.run_id: r for r in serial}
-        for res in pool + shuffled:
+        serial = run_sweep(m)
+        pool = run_sweep(m, workers=2)
+        assert [s.run_id for s in shuffled(m).expand()] \
+            != [s.run_id for s in m.expand()]
+        mixed = run_sweep(shuffled(m), workers=2, out_dir=tmp_path)
+        assert pool.to_text() == serial.to_text()
+        assert mixed.to_text() == serial.to_text()
+        by_id = {r.run_id: r for r in serial.results}
+        for res in pool.results + mixed.results:
             assert res.report_text == by_id[res.run_id].report_text
             assert res.metrics == by_id[res.run_id].metrics
+        assert {r.runstats["dispatcher"] for r in serial.results} \
+            == {"serial"}
+        assert {r.runstats["dispatcher"] for r in pool.results} \
+            == {"process-pool"}
+        # Each shard is written under its own spec, whatever order the
+        # shuffled submissions landed in.
+        for spec in m.expand():
+            d = tmp_path / "runs" / spec.run_id
+            assert RunSpec.from_dict(json.loads(
+                (d / "config.json").read_text())) == spec
+            assert json.loads((d / "result.json").read_text())[
+                "run_id"] == spec.run_id
 
+    @fork_only
     def test_worker_crash_retries_to_same_bytes(self, tmp_path,
                                                 monkeypatch):
         m = tiny_matrix(axes={"policy": ["fifo", "backfill"]})
-        specs = m.expand()
-        serial = SerialDispatcher().run_all(specs)
-        crash_dir = tmp_path / "crash"
-        crash_dir.mkdir()
-        (crash_dir / f"{specs[0].run_id}.crash").write_text("die\n")
-        monkeypatch.setenv("REPRO_FLEET_CRASH_DIR", str(crash_dir))
-        pool = ProcessPoolDispatcher(workers=2).run_all(specs)
-        assert merged_text(m, pool) == merged_text(m, serial)
-        crashed = next(r for r in pool
-                       if r.run_id == specs[0].run_id)
-        assert crashed.runstats["attempts"] >= 2
-        assert not (crash_dir / f"{specs[0].run_id}.crash").exists()
+        victim = m.expand()[0].run_id
+        serial = run_sweep(m)
+        once = tmp_path / "crashed"
+        crash_worker(monkeypatch, victim, once=once)
+        pool = run_sweep(m, workers=2)
+        assert pool.to_text() == serial.to_text()
+        assert pool.run(victim).runstats["attempts"] >= 2
+        assert once.exists()
 
-    def test_crash_budget_exhaustion_raises(self, tmp_path,
-                                            monkeypatch):
+    @fork_only
+    def test_crash_budget_exhaustion_raises(self, monkeypatch):
         m = tiny_matrix(axes={"policy": ["fifo"]})
         (spec,) = m.expand()
-        crash_dir = tmp_path / "crash"
-        crash_dir.mkdir()
-        marker = crash_dir / f"{spec.run_id}.crash"
-        monkeypatch.setenv("REPRO_FLEET_CRASH_DIR", str(crash_dir))
+        crash_worker(monkeypatch, spec.run_id)
+        with pytest.raises(FleetError, match="crashed"):
+            run_sweep(m, workers=2, retries=1)
 
-        calls = {"n": 0}
-        real_unlink = os.unlink
-
-        def sticky_unlink(path, *a, **kw):
-            # Re-arm the marker consumed by the dying worker so every
-            # attempt crashes and the retry budget runs dry.
-            real_unlink(path, *a, **kw)
-            if str(path) == str(marker):
-                calls["n"] += 1
-                marker.write_text("again\n")
-
-        marker.write_text("die\n")
-        monkeypatch.setattr(os, "unlink", sticky_unlink)
-        try:
-            with pytest.raises(FleetError, match="crashed"):
-                ProcessPoolDispatcher(workers=1, retries=1,
-                                      warm_up=False).run_all([spec])
-        finally:
-            monkeypatch.setattr(os, "unlink", real_unlink)
-            if marker.exists():
-                marker.unlink()
+    def test_overrunning_shard_times_out(self):
+        m = tiny_matrix(axes={"policy": ["fifo"]})
+        with pytest.raises(FleetError, match="timed out"):
+            run_sweep(m, workers=2, timeout=0.001, retries=0)
 
 
 class TestRunnerArtifacts:
     def test_artifact_layout_and_fleet_summary(self, tmp_path):
         m = tiny_matrix(axes={"policy": ["fifo", "backfill"]})
-        runner = FleetRunner(m, out_dir=tmp_path)
-        report = runner.run()
+        report = run_sweep(m, out_dir=tmp_path)
         for spec in m.expand():
             d = tmp_path / "runs" / spec.run_id
             for name in ("config.json", "result.json", "metrics.jsonl",
@@ -252,23 +255,28 @@ class TestRunnerArtifacts:
             assert RunSpec.from_dict(cfg) == spec
             lines = (d / "metrics.jsonl").read_text().splitlines()
             assert len(lines) == TINY["n_jobs"]
+            stats = json.loads((d / "runstats.json").read_text())
+            assert stats["dispatcher"] == "serial"
+            assert stats["attempts"] == 1
         assert (tmp_path / "fleet_report.txt").read_text() \
             == report.to_text()
         fleet = json.loads((tmp_path / "fleet.json").read_text())
         assert fleet["matrix"]["n_runs"] == 2
+        assert fleet["dispatcher"] == "serial"
         assert artifacts.completed_runs(tmp_path) \
             == sorted(s.run_id for s in m.expand())
 
     def test_resume_skips_complete_and_refills_gaps(self, tmp_path):
         import shutil
         m = tiny_matrix(axes={"policy": ["fifo", "backfill"]})
-        baseline = FleetRunner(m, out_dir=tmp_path).run()
+        baseline = run_sweep(m, out_dir=tmp_path)
         victim = m.expand()[0].run_id
         shutil.rmtree(tmp_path / "runs" / victim)
 
-        runner = FleetRunner(m, out_dir=tmp_path, resume=True)
-        resumed_report = runner.run()
-        assert runner.resumed == [s.run_id for s in m.expand()[1:]]
+        resumed_report = run_sweep(m, out_dir=tmp_path, resume=True)
+        resumed = [r.run_id for r in resumed_report.results
+                   if r.runstats.get("loaded_from_artifact")]
+        assert sorted(resumed) == sorted(s.run_id for s in m.expand()[1:])
         assert resumed_report.to_text() == baseline.to_text()
         assert artifacts.is_complete(tmp_path, victim)
 
@@ -300,7 +308,7 @@ class TestRunnerArtifacts:
 class TestReport:
     def test_merge_rejects_duplicates(self):
         m = tiny_matrix(axes={"policy": ["fifo"]})
-        res = SerialDispatcher().run_all(m.expand())
+        res = run_sweep(m).results
         with pytest.raises(ReproError):
             FleetReport.merge(res + res, name=m.name,
                               sweep_seed=m.sweep_seed,
@@ -308,18 +316,13 @@ class TestReport:
 
     def test_text_is_free_of_wall_clock(self):
         m = tiny_matrix(axes={"policy": ["fifo"]})
-        report = FleetReport.merge(
-            SerialDispatcher().run_all(m.expand()), name=m.name,
-            sweep_seed=m.sweep_seed, axis_names=m.axis_names)
-        text = report.to_text()
+        text = run_sweep(m).to_text()
         assert "wall" not in text and "rss" not in text.lower()
 
     def test_rows_sorted_numerically_not_lexically(self):
         m = tiny_matrix(axes={"nodes": [2, 10, 4]},
                         workload=dict(TINY, n_jobs=6))
-        report = FleetReport.merge(
-            SerialDispatcher().run_all(m.expand()), name=m.name,
-            sweep_seed=m.sweep_seed, axis_names=m.axis_names)
+        report = run_sweep(m)
         order = [dict(r.axes)["nodes"] for r in report.results]
         assert order == ["2", "4", "10"]
 
@@ -340,10 +343,25 @@ class TestSweepCli:
         assert "resumed 2 completed run(s)" in second
         assert first.splitlines()[-2] in second  # same merged table
 
-    def test_sweep_requires_axis(self):
-        with pytest.raises(SystemExit):
-            cli_main(["sweep"])
+    def test_sweep_requires_axis(self, capsys):
+        assert cli_main(["sweep"]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro-slurm: sweep needs at least one --axis\n"
 
-    def test_sweep_rejects_bad_axis(self):
-        with pytest.raises(SystemExit):
-            cli_main(["sweep", "--axis", "bogus=1"])
+    def test_sweep_rejects_bad_axis(self, capsys):
+        assert cli_main(["sweep", "--axis", "bogus=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-slurm: sweep failed: ")
+        assert "bogus" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, text", [
+        (["--axis", "policy=fifo", "--axis", "policy=backfill"],
+         "duplicate --axis 'policy'"),
+        (["--axis", "policy=fifo", "--workload", "nope"],
+         "unknown --workload 'nope'"),
+    ])
+    def test_sweep_option_errors_are_one_line(self, capsys, argv, text):
+        assert cli_main(["sweep", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-slurm: {text}")
+        assert len(err.splitlines()) == 1

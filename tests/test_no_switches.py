@@ -8,8 +8,8 @@ frame path; the oracles they are checked against live under
   frame path (``REPRO_KERNEL``, ``REPRO_WIRE_MODE``) change nothing: a
   fresh interpreter that sets one still runs the fast kernel on lazy
   frames and prints the replay golden file byte for byte;
-* ``src/`` reads no other environment variable than the fleet's crash
-  hook, so no new switch can appear unnoticed;
+* ``src/`` reads no environment variable at all, so no new switch can
+  appear unnoticed;
 * every repository path a ``src/`` module names (an oracle, the test
   that compares against it, a sibling module) exists.
 """
@@ -44,11 +44,9 @@ assert type(make_frame(proto.NORNS_PROTOCOL,
 sys.stdout.write(policy_replay.replay(policy_replay.golden_trace()).to_text())
 """
 
-#: The modules of ``src/`` that touch ``os.environ`` / ``os.getenv``.
-#: ``repro.experiments.fleet.dispatch`` reads ``REPRO_FLEET_CRASH_DIR``,
-#: the fleet's fault hook: a marker file there kills one pool worker,
-#: and the retry path reruns the shard with the same result.
-ENV_READERS = {"repro.experiments.fleet.dispatch"}
+#: The modules of ``src/`` that touch ``os.environ`` / ``os.getenv``:
+#: none.  (The fleet's crash tests inject their fault from the test.)
+ENV_READERS = set()
 
 #: A repository path in a docstring or comment: ``dir/name.ext``, or a
 #: bare ``NAME.md``.

@@ -43,9 +43,10 @@ class TestTraceCommand:
         assert "rpc" not in text
 
     def test_unknown_category_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["trace", *_synth("--only", "nope")])
-        assert "unknown span category" in str(exc.value)
+        assert main(["trace", *_synth("--only", "nope")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-slurm: unknown span category 'nope'")
+        assert len(err.splitlines()) == 1
 
 
 class TestTopCommand:
