@@ -57,14 +57,19 @@ def _warm_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def run_sweep(matrix: SweepMatrix, *, workers: int = 1,
-              timeout: Optional[float] = None, retries: int = 2,
+              timeout: Optional[float] = None,
+              retries: Optional[int] = None,
               out_dir=None, resume: bool = False) -> FleetReport:
     """Execute one sweep matrix end to end (see the module docstring).
 
     ``timeout`` (seconds per shard, ``None`` = no limit) and
-    ``retries`` apply to the pool only: a serial shard that raises
-    fails the sweep at once.
+    ``retries`` (``None`` = 2) apply to the pool only, so a serial
+    sweep, whose failing shard fails it at once, refuses them.
     """
+    if workers <= 1 and (timeout is not None or retries is not None):
+        raise FleetError("timeout and retries need workers >= 2 (a serial "
+                         "sweep runs each shard once, in the caller)")
+    retries = 2 if retries is None else retries
     specs = matrix.expand()
     loaded: List[RunResult] = []
     if resume and out_dir is not None:

@@ -16,17 +16,16 @@ written, unknown keys are ignored on read (forward compatibility), and
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import FaultError
+from repro.util.records import RecordCodec, read_jsonl, write_jsonl
 
 __all__ = [
     "FAULT_KINDS", "FaultRecord", "FaultPlan",
     "parse_plan", "format_plan", "load_plan", "dump_plan",
-    "parse_fault_record", "fault_record_to_dict",
+    "FAULT_CODEC",
 ]
 
 #: Every fault kind the engine knows how to inject.
@@ -181,78 +180,24 @@ _KEYS = (
     ("device", "device"),
     ("note", "note"),
 )
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(FaultRecord)}
-_REQUIRED = ("t", "kind")
-_STR_ATTRS = frozenset({"kind", "target", "device", "note"})
-
-
-def fault_record_to_dict(rec: FaultRecord) -> Dict:
-    """Canonical compact dict (only non-default values, key order)."""
-    out: Dict = {}
-    for key, attr in _KEYS:
-        value = getattr(rec, attr)
-        if key in _REQUIRED or value != _DEFAULTS[attr]:
-            out[key] = value
-    return out
-
-
-def parse_fault_record(obj: Dict, where: str = "fault record") -> FaultRecord:
-    """Build a record from a JSON object; unknown keys are ignored."""
-    attr_by_key = dict(_KEYS)
-    for req in _REQUIRED:
-        if req not in obj:
-            raise FaultError(f"{where}: lacks {req!r}")
-    fields = {}
-    for key, value in obj.items():
-        attr = attr_by_key.get(key)
-        if attr is None:
-            continue  # forward compatibility
-        try:
-            fields[attr] = str(value) if attr in _STR_ATTRS \
-                else float(value)
-        except (TypeError, ValueError):
-            raise FaultError(
-                f"{where}: bad value {value!r} for {key!r}") from None
-    rec = FaultRecord(**fields)
-    rec.validate()
-    return rec
+#: Plan-file lines and a trace's embedded ``{"fault": {...}}`` lines.
+FAULT_CODEC = RecordCodec(FaultRecord, _KEYS, ("t", "kind"), FaultError,
+                          validate=True)
 
 
 def format_plan(plan: FaultPlan) -> str:
     """Render a plan as canonical JSON lines (ends with a newline)."""
-    meta: Dict = {"name": plan.name, "kind": "fault-plan", "version": 1}
-    if plan.comments:
-        meta["comments"] = list(plan.comments)
-    lines = [json.dumps({"meta": meta}, separators=(", ", ": "))]
-    for rec in plan.sorted_records():
-        lines.append(json.dumps(fault_record_to_dict(rec),
-                                separators=(", ", ": ")))
-    return "\n".join(lines) + "\n"
+    return write_jsonl(
+        {"name": plan.name, "kind": "fault-plan", "version": 1},
+        plan.comments, map(FAULT_CODEC.to_dict, plan.sorted_records()))
 
 
 def parse_plan(text: str, name: str = "faults") -> FaultPlan:
     """Parse JSONL text into a :class:`FaultPlan`."""
-    comments: List[str] = []
-    records: List[FaultRecord] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FaultError(f"line {lineno}: bad JSON ({exc.msg})") \
-                from None
-        if not isinstance(obj, dict):
-            raise FaultError(f"line {lineno}: expected a JSON object")
-        if "meta" in obj:
-            meta = obj["meta"]
-            name = meta.get("name", name)
-            comments.extend(meta.get("comments", ()))
-            continue
-        records.append(parse_fault_record(obj, where=f"line {lineno}"))
-    plan = FaultPlan(name=name, records=tuple(records),
-                     comments=tuple(comments))
+    name, comments, rows = read_jsonl(text, name, FaultError)
+    records = tuple(FAULT_CODEC.from_dict(obj, f"line {lineno}")
+                    for lineno, obj in rows)
+    plan = FaultPlan(name=name, records=records, comments=tuple(comments))
     plan.validate()
     return plan
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.errors import Interrupted, InvalidEventState, SimError, SimulationEnded
 
@@ -66,11 +66,6 @@ __all__ = ["Event", "Process", "Simulator", "TimeoutHandle",
 PENDING = "pending"
 TRIGGERED = "triggered"
 PROCESSED = "processed"
-
-#: Priority band for interrupts — delivered before ordinary events that
-#: were scheduled for the same instant, matching SimPy's URGENT.
-URGENT = 0
-NORMAL = 1
 
 #: The kernel sweeps lazily-deleted entries out of the calendar when
 #: they outnumber the live ones, but never below this floor: tiny
@@ -158,8 +153,7 @@ class Event:
         self._trigger(False, exc, delay)
         return self
 
-    def _trigger(self, ok: bool, value: Any, delay: float = 0.0,
-                 priority: int = NORMAL) -> None:
+    def _trigger(self, ok: bool, value: Any, delay: float = 0.0) -> None:
         if self._state != PENDING:
             raise InvalidEventState(f"{self!r} already {self._state}")
         if delay < 0:
@@ -167,7 +161,7 @@ class Event:
         self._ok = ok
         self._value = value
         self._state = TRIGGERED
-        self.sim._schedule(self, delay, priority)
+        self.sim._schedule(self, delay)
 
     # -- callbacks ----------------------------------------------------
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -289,7 +283,7 @@ class Process(Event):
             self._waiting_on = None
         kick = Event(self.sim, self.name)
         kick.callbacks = self._resume_cb
-        kick._trigger(False, Interrupted(cause), 0.0, priority=URGENT)
+        self.sim._post_urgent(kick, Interrupted(cause))
 
     # -- engine -------------------------------------------------------
     def _finish(self, ok: bool, value: Any) -> None:
@@ -416,12 +410,11 @@ class Simulator:
       insertion order.  Scheduling is one dict lookup plus an append;
       the heap is only touched for the *first* entry at a new instant.
     * ``_due`` / ``_due_urgent`` — the slab for the **current**
-      instant.  Everything scheduled with zero delay lands here
+      instant.  Everything scheduled with zero delay lands in ``_due``
       directly, and ``run()`` drains it in a tight loop: a run of
-      same-timestamp events advances :attr:`now` once.
-    * ``_urgent_buckets`` — future URGENT entries; practically always
-      empty (interrupts are delivered at the current instant) but kept
-      for strict ``(time, priority, seq)`` ordering.
+      same-timestamp events advances :attr:`now` once.  Interrupts
+      (:meth:`_post_urgent`, only ever at the current instant) land
+      in ``_due_urgent``, which drains first.
 
     Insertion order within a slab is exactly the global sequence-number
     order the seed kernel's ``(time, priority, seq)`` tuples
@@ -439,7 +432,6 @@ class Simulator:
         self.now: float = float(start)
         self._times: List[float] = []
         self._buckets: Dict[float, Any] = {}
-        self._urgent_buckets: Dict[float, deque] = {}
         self._due: deque = deque()
         self._due_urgent: deque = deque()
         self._event_count = 0
@@ -458,19 +450,13 @@ class Simulator:
         self.tracer = None
 
     # -- scheduling ---------------------------------------------------
-    def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
+    def _schedule(self, event: Event, delay: float) -> None:
         now = self.now
         t = now + delay
         if t == now:
             # Zero effective delay: straight onto the current instant's
             # slab — no heap, no bucket, no key hashing.
-            if priority == NORMAL:
-                self._due.append(event)
-            else:
-                self._due_urgent.append(event)
-            return
-        if priority != NORMAL:
-            self._schedule_future_urgent(event, t)
+            self._due.append(event)
             return
         buckets = self._buckets
         slab = buckets.get(t)
@@ -481,19 +467,6 @@ class Simulator:
             slab.append(event)
         else:
             buckets[t] = deque((slab, event))
-
-    def _schedule_future_urgent(self, event: Event, t: float) -> None:
-        # URGENT entries are only ever produced at the current instant
-        # (Process.interrupt, zero delay); this path keeps the general
-        # case correct without taxing the hot one.  A timestamp may end
-        # up in the heap twice (urgent first, normal later) — the
-        # advance loop tolerates stale duplicates.
-        ub = self._urgent_buckets.get(t)
-        if ub is None:
-            self._urgent_buckets[t] = deque((event,))
-            heapq.heappush(self._times, t)
-        else:
-            ub.append(event)
 
     def event(self, name: str = "") -> Event:
         """Create a fresh, untriggered event.
@@ -606,28 +579,15 @@ class Simulator:
             return self.now
         return self._times[0] if self._times else float("inf")
 
-    def _advance(self) -> bool:
-        """Pop the earliest future instant onto the due slabs.
-
-        Returns ``False`` for a stale duplicate timestamp (see
-        :meth:`_schedule_future_urgent`), ``True`` otherwise.
-        """
+    def _advance(self) -> None:
+        """Pop the earliest future instant onto the due slab."""
         t = heapq.heappop(self._times)
-        slab = self._buckets.pop(t, None)
-        ub = None
-        if self._urgent_buckets:
-            ub = self._urgent_buckets.pop(t, None)
-        if slab is None and ub is None:
-            return False
+        slab = self._buckets.pop(t)
         self.now = t
-        if ub is not None:
-            self._due_urgent.extend(ub)
-        if slab is not None:
-            if slab.__class__ is deque:
-                self._due.extend(slab)
-            else:
-                self._due.append(slab)
-        return True
+        if slab.__class__ is deque:
+            self._due.extend(slab)
+        else:
+            self._due.append(slab)
 
     def _dispatch_one(self, ev: Event) -> None:
         """Process a single popped calendar entry (shared slow path).
@@ -731,18 +691,12 @@ class Simulator:
                     self._event_count += count
                     count = 0
                     t = heappop(times)
-                    slab = buckets.pop(t, None)
-                    if self._urgent_buckets:
-                        ub = self._urgent_buckets.pop(t, None)
-                        if ub:
-                            self.now = t
-                            urgent.extend(ub)
-                    if slab is not None:
-                        self.now = t
-                        if slab.__class__ is deque:
-                            due.extend(slab)
-                        else:
-                            due.append(slab)
+                    slab = buckets.pop(t)
+                    self.now = t
+                    if slab.__class__ is deque:
+                        due.extend(slab)
+                    else:
+                        due.append(slab)
                     continue
                 else:
                     break
@@ -794,8 +748,6 @@ class Simulator:
         n = len(self._due) + len(self._due_urgent)
         for slab in self._buckets.values():
             n += len(slab) if slab.__class__ is deque else 1
-        for ub in self._urgent_buckets.values():
-            n += len(ub)
         return n
 
     def _compact(self) -> None:
@@ -819,18 +771,7 @@ class Simulator:
                     slab.extend(live)
             elif slab._defunct:
                 del buckets[t]
-        urgent_buckets = self._urgent_buckets
-        for t in list(urgent_buckets):
-            ub = urgent_buckets[t]
-            live = [e for e in ub if not e._defunct]
-            if not live:
-                del urgent_buckets[t]
-            elif len(live) != len(ub):
-                ub.clear()
-                ub.extend(live)
-        keys = set(buckets)
-        keys.update(urgent_buckets)
-        self._times[:] = keys
+        self._times[:] = buckets
         heapq.heapify(self._times)
         for q in (self._due, self._due_urgent):
             live = [e for e in q if not e._defunct]
@@ -856,6 +797,15 @@ class Simulator:
         event._value = value
         event._state = TRIGGERED
         self._due.append(event)
+
+    def _post_urgent(self, event: Event, exc: BaseException) -> None:
+        """Fail a fresh event at the current instant, ahead of every
+        ordinary entry already due (``Process.interrupt``'s kick,
+        matching SimPy's URGENT priority)."""
+        event._ok = False
+        event._value = exc
+        event._state = TRIGGERED
+        self._due_urgent.append(event)
 
     # -- introspection -------------------------------------------------
     @property
@@ -888,8 +838,3 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self.now} pending={self.pending_count}>"
-
-
-def iter_processes(sim: Simulator, gens: Iterable[Generator]) -> list[Process]:
-    """Convenience: start one process per generator, return them all."""
-    return [sim.process(g) for g in gens]

@@ -503,9 +503,10 @@ def _build_sweep_parser(sub) -> None:
                    help="time-compression factor on arrivals")
     p.add_argument("--timeout", type=float, default=0.0,
                    help="per-run wall-clock budget in seconds "
-                        "(0 = none)")
-    p.add_argument("--retries", type=int, default=2,
-                   help="retry budget per run on worker crash/timeout")
+                        "(0 = none; needs --workers 2 or more)")
+    p.add_argument("--retries", type=int, default=None,
+                   help="retry budget per run on worker crash/timeout "
+                        "(default 2; needs --workers 2 or more)")
     p.add_argument("--perf", action="store_true",
                    help="append each run's event-kernel counter table")
     p.add_argument("--obs", action="store_true",

@@ -15,7 +15,7 @@ __all__ = ["FifoPolicy"]
 class FifoPolicy(SchedulingPolicy):
     """Start jobs strictly in priority order; the first job that does
     not fit stops the pass — nothing may overtake it.  This is the
-    paper's ``backfill=False`` ablation baseline."""
+    no-backfill ablation baseline."""
 
     name = "fifo"
     summary = "strict priority order; first blocked job stops the pass"

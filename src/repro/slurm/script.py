@@ -18,6 +18,7 @@ faithfully.
 
 from __future__ import annotations
 
+import math
 import re
 import shlex
 from typing import Optional
@@ -78,7 +79,13 @@ def _parse_sbatch(tokens: list[str], fields: dict) -> None:
                 raise ScriptParseError(
                     f"bad workflow-prior-dependency {value!r}") from None
         elif key == "priority":
-            fields["base_priority"] = float(value)
+            try:
+                priority = float(value)
+            except ValueError:
+                priority = math.nan
+            if not math.isfinite(priority):
+                raise ScriptParseError(f"bad --priority value {value!r}")
+            fields["base_priority"] = priority
         elif key == "uid" or key == "user":
             fields["user"] = value
         # unknown #SBATCH options are ignored, like real sbatch plugins
@@ -119,22 +126,15 @@ def parse_batch_script(text: str, program=None,
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if line.startswith("#SBATCH"):
-            rest = line[len("#SBATCH"):].strip()
-            try:
-                tokens = shlex.split(rest)
-            except ValueError as e:
-                raise ScriptParseError(f"line {lineno}: {e}") from None
-            _parse_sbatch(tokens, fields)
+            parse, rest = _parse_sbatch, line[len("#SBATCH"):]
         elif line.startswith("#NORNS"):
-            rest = line[len("#NORNS"):].strip()
-            try:
-                tokens = shlex.split(rest)
-            except ValueError as e:
-                raise ScriptParseError(f"line {lineno}: {e}") from None
-            try:
-                _parse_norns(tokens, fields)
-            except ScriptParseError as e:
-                raise ScriptParseError(f"line {lineno}: {e}") from None
+            parse, rest = _parse_norns, line[len("#NORNS"):]
+        else:
+            continue
+        try:
+            parse(shlex.split(rest), fields)
+        except (ValueError, ScriptParseError) as e:  # shlex: bad quoting
+            raise ScriptParseError(f"line {lineno}: {e}") from None
     if program is not None:
         fields["program"] = program
     if dataspaces is not None:

@@ -37,7 +37,7 @@ from repro.sim.primitives import all_of, any_of
 from repro.sim.resources import Store
 from repro.slurm.accounting import AccountingLog
 from repro.slurm.job import Job, JobSpec, JobState
-from repro.slurm.policies import SchedulerState, create_policy
+from repro.slurm.policies import DEFAULT_POLICY, SchedulerState, create_policy
 from repro.slurm.scheduler import PriorityCalculator
 from repro.slurm.script import parse_batch_script
 from repro.slurm.selector import NodeSelector
@@ -59,13 +59,10 @@ class SlurmConfig:
     data_aware_placement: bool = True
     #: Age factor for priorities (per second).
     age_weight: float = 1.0 / 3600.0
-    #: Legacy ablation switch: ``backfill=False`` selects the strict
-    #: FIFO policy, exactly as before the policy engine existed.
-    backfill: bool = True
     #: Scheduling-policy name from the :mod:`repro.slurm.policies`
     #: registry ("fifo", "backfill", "conservative", "staging-aware",
-    #: ...).  Empty = derive from the legacy ``backfill`` flag.
-    policy: str = ""
+    #: ...).
+    policy: str = DEFAULT_POLICY
     #: Keyword options forwarded to the policy constructor.
     policy_options: Optional[Dict[str, object]] = None
     #: How many times a job knocked out by a node failure is put back
@@ -77,12 +74,6 @@ class SlurmConfig:
     #: workflows.  Off by default: the paper's Section III semantics
     #: terminate a job whose stage-in fails.
     requeue_on_failure: bool = False
-
-    def resolved_policy(self) -> str:
-        """The effective policy name."""
-        if self.policy:
-            return self.policy
-        return "backfill" if self.backfill else "fifo"
 
 
 class _Knockout:
@@ -120,7 +111,7 @@ class Slurmctld:
             self.priorities, workflows=self.workflows,
             selector=self.selector, free_nodes=slurmds,
             stage_in_estimator=self._estimate_stage_in_seconds)
-        self.policy = create_policy(self.config.resolved_policy(),
+        self.policy = create_policy(self.config.policy,
                                     **(self.config.policy_options or {}))
         self.accounting = AccountingLog()
         #: optional attached CheckpointStore (see repro.workflows):

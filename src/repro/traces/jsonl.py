@@ -16,11 +16,10 @@ NORNS staging / workflow extension, which plain SWF cannot carry.
 
 from __future__ import annotations
 
-import dataclasses
-import json
-from typing import Dict, List
+from typing import List
 
 from repro.traces.records import Trace, TraceError, TraceJob
+from repro.util.records import RecordCodec, read_jsonl, write_jsonl
 
 __all__ = ["parse_jsonl", "format_jsonl", "load_jsonl", "dump_jsonl"]
 
@@ -55,36 +54,9 @@ _KEYS = (
     ("max_requeues", "max_requeues"),
 )
 
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TraceJob)}
-_INT_ATTRS = frozenset({
-    "job_id", "procs", "requested_procs", "status", "user", "group",
-    "executable", "queue", "partition", "dep",
-    "stage_in_bytes", "stage_in_files", "stage_out_bytes",
-    "stage_out_files", "max_requeues",
-})
-_BOOL_ATTRS = frozenset({"workflow_start", "persist", "checkpoint"})
-_REQUIRED = ("id", "submit")
-
-
-def _coerce(attr: str, value):
-    if attr == "deps":
-        if not isinstance(value, (list, tuple)):
-            raise TypeError("deps must be a list of job ids")
-        return tuple(int(v) for v in value)
-    if attr in _BOOL_ATTRS:
-        return bool(value)
-    if attr in _INT_ATTRS:
-        return int(value)
-    return float(value)
-
-
-def _record(job: TraceJob) -> Dict:
-    out: Dict = {}
-    for key, attr in _KEYS:
-        value = getattr(job, attr)
-        if key in _REQUIRED or value != _DEFAULTS[attr]:
-            out[key] = list(value) if attr == "deps" else value
-    return out
+#: Trace-job records; embedded ``{"fault": {...}}`` lines use
+#: :data:`repro.faults.plan.FAULT_CODEC`.
+_CODEC = RecordCodec(TraceJob, _KEYS, ("id", "submit"), TraceError)
 
 
 def format_jsonl(trace: Trace) -> str:
@@ -94,67 +66,33 @@ def format_jsonl(trace: Trace) -> str:
     to the replay start) come right after the metadata so a resilience
     scenario reads header → failure schedule → workload.
     """
-    from repro.faults.plan import fault_record_to_dict
-    meta: Dict = {"name": trace.name, "version": 1}
-    if trace.comments:
-        meta["comments"] = list(trace.comments)
-    lines = [json.dumps({"meta": meta}, separators=(", ", ": "))]
-    for rec in trace.faults:
-        lines.append(json.dumps({"fault": fault_record_to_dict(rec)},
-                                separators=(", ", ": ")))
-    for job in trace.sorted_jobs():
-        lines.append(json.dumps(_record(job), separators=(", ", ": ")))
-    return "\n".join(lines) + "\n"
+    from repro.faults.plan import FAULT_CODEC
+    records = [{"fault": FAULT_CODEC.to_dict(rec)} for rec in trace.faults]
+    records.extend(map(_CODEC.to_dict, trace.sorted_jobs()))
+    return write_jsonl({"name": trace.name, "version": 1}, trace.comments,
+                       records)
 
 
 def parse_jsonl(text: str, name: str = "jsonl") -> Trace:
     """Parse JSONL text into a :class:`Trace`."""
     from repro.errors import FaultError
-    from repro.faults.plan import parse_fault_record
-    attr_by_key = dict(_KEYS)
-    comments: List[str] = []
+    from repro.faults.plan import FAULT_CODEC
+    name, comments, rows = read_jsonl(text, name, TraceError)
     jobs: List[TraceJob] = []
     faults: List = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"line {lineno}: bad JSON ({exc.msg})") from None
-        if not isinstance(obj, dict):
-            raise TraceError(f"line {lineno}: expected a JSON object")
-        if "meta" in obj:
-            meta = obj["meta"]
-            if not isinstance(meta, dict):
-                raise TraceError(
-                    f"line {lineno}: 'meta' must be a JSON object")
-            name = meta.get("name", name)
-            comments.extend(meta.get("comments", ()))
-            continue
+    from_dict = _CODEC.from_dict
+    for lineno, obj in rows:
         if "fault" in obj:
+            rec = obj["fault"]
+            if rec.__class__ is not dict:
+                raise TraceError(
+                    f"line {lineno}: 'fault' must be a JSON object")
             try:
-                faults.append(parse_fault_record(
-                    obj["fault"], where=f"line {lineno}"))
+                faults.append(FAULT_CODEC.from_dict(rec, f"line {lineno}"))
             except FaultError as exc:
                 raise TraceError(str(exc)) from None
-            continue
-        for req in _REQUIRED:
-            if req not in obj:
-                raise TraceError(f"line {lineno}: record lacks {req!r}")
-        fields = {}
-        for key, value in obj.items():
-            attr = attr_by_key.get(key)
-            if attr is None:
-                continue  # forward compatibility: ignore unknown keys
-            try:
-                fields[attr] = _coerce(attr, value)
-            except (TypeError, ValueError):
-                raise TraceError(
-                    f"line {lineno}: bad value {value!r} for {key!r}"
-                ) from None
-        jobs.append(TraceJob(**fields))
+        else:
+            jobs.append(from_dict(obj, f"line {lineno}"))
     return Trace(name=name, jobs=tuple(jobs), comments=tuple(comments),
                  faults=tuple(faults))
 

@@ -124,14 +124,6 @@ class TraceJob:
     def is_staged(self) -> bool:
         return self.stage_in_bytes > 0 or self.stage_out_bytes > 0
 
-    @property
-    def has_extensions(self) -> bool:
-        """Does this record carry data a pure SWF line cannot hold?"""
-        return (self.workflow_start or self.persist or self.is_staged
-                or self.stage_in_files > 0 or self.stage_out_files > 0
-                or self.max_requeues >= 0 or bool(self.deps)
-                or self.checkpoint)
-
 
 @dataclass(frozen=True)
 class Trace:

@@ -17,33 +17,19 @@ staging/workflow extensions live only in the JSONL format, see
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List
 
 from repro.traces.records import Trace, TraceError, TraceJob
+from repro.util.records import RecordCodec, numbered_lines
 
 __all__ = ["parse_swf", "format_swf", "load_swf", "dump_swf"]
 
-#: (attribute, is_int) in SWF field order.
-_FIELDS = (
-    ("job_id", True),
-    ("submit_time", False),
-    ("wait_time", False),
-    ("run_time", False),
-    ("procs", True),
-    ("cpu_time", False),
-    ("mem", False),
-    ("requested_procs", True),
-    ("requested_time", False),
-    ("requested_mem", False),
-    ("status", True),
-    ("user", True),
-    ("group", True),
-    ("executable", True),
-    ("queue", True),
-    ("partition", True),
-    ("dep", True),
-    ("think_time", False),
-)
+#: The 18 SWF columns: the first 18 TraceJob fields, declared in SWF
+#: field order.
+_COLUMNS = tuple(f.name for f in dataclasses.fields(TraceJob)[:18])
+_CODEC = RecordCodec(TraceJob, [(a, a) for a in _COLUMNS], _COLUMNS,
+                     TraceError)
 
 
 def _num(value: float) -> str:
@@ -63,27 +49,16 @@ def parse_swf(text: str, name: str = "swf") -> Trace:
     """
     comments: List[str] = []
     jobs: List[TraceJob] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(text):
         if line.startswith(";"):
             comments.append(line[1:].strip())
             continue
         parts = line.split()
-        if len(parts) < len(_FIELDS):
+        if len(parts) < len(_COLUMNS):
             raise TraceError(
                 f"line {lineno}: {len(parts)} fields, SWF needs "
-                f"{len(_FIELDS)}")
-        fields = {}
-        for (attr, is_int), tok in zip(_FIELDS, parts):
-            try:
-                value = float(tok)
-            except ValueError:
-                raise TraceError(
-                    f"line {lineno}: bad number {tok!r} for {attr}") from None
-            fields[attr] = int(value) if is_int else value
-        jobs.append(TraceJob(**fields))
+                f"{len(_COLUMNS)}")
+        jobs.append(_CODEC.from_row(parts, f"line {lineno}"))
     return Trace(name=name, jobs=tuple(jobs), comments=tuple(comments))
 
 
@@ -91,8 +66,7 @@ def format_swf(trace: Trace) -> str:
     """Render a trace as canonical SWF text (ends with a newline)."""
     lines = [f"; {c}".rstrip() for c in trace.comments]
     for job in trace.sorted_jobs():
-        lines.append(" ".join(
-            _num(getattr(job, attr)) for attr, _is_int in _FIELDS))
+        lines.append(" ".join(_num(getattr(job, a)) for a in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 

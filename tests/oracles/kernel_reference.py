@@ -4,7 +4,9 @@ Test fixture only (oracles live under ``tests/``).
 :class:`ReferenceSimulator` is the single binary heap of ``(time,
 priority, seq, Event)`` tuples popped one at a time that the kernel was
 before the flat calendar of :class:`~repro.sim.core.Simulator` replaced
-it; the class body is that code verbatim.  It shares ``Event``,
+it; the class body is that code verbatim, except that an interrupt's
+URGENT entry arrives through ``_post_urgent`` rather than a priority
+argument of ``_schedule``.  It shares ``Event``,
 ``Process`` and the dispatch code with the product kernel and differs
 only in the calendar, so it is the oracle for the calendar:
 
@@ -27,9 +29,14 @@ import itertools
 from typing import Any, Dict, List, Optional
 
 from repro.errors import SimError, SimulationEnded
-from repro.sim.core import NORMAL, TRIGGERED, Event, Simulator, TimeoutHandle
+from repro.sim.core import TRIGGERED, Event, Simulator, TimeoutHandle
 
 __all__ = ["ReferenceSimulator"]
+
+#: Priority bands of the heap entries: an interrupt's kick sorts ahead
+#: of every ordinary entry at its instant (SimPy's URGENT).
+URGENT = 0
+NORMAL = 1
 
 
 class ReferenceSimulator(Simulator):
@@ -51,9 +58,9 @@ class ReferenceSimulator(Simulator):
         self.tracer = None
 
     # -- scheduling ---------------------------------------------------
-    def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
+    def _schedule(self, event: Event, delay: float) -> None:
         heapq.heappush(self._heap,
-                       (self.now + delay, priority, next(self._seq), event))
+                       (self.now + delay, NORMAL, next(self._seq), event))
 
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Event:
         """An event that fires ``delay`` seconds from now."""
@@ -136,6 +143,13 @@ class ReferenceSimulator(Simulator):
         event._value = value
         event._state = TRIGGERED
         heapq.heappush(self._heap, (self.now, NORMAL, next(self._seq), event))
+
+    def _post_urgent(self, event: Event, exc: BaseException) -> None:
+        """See :meth:`Simulator._post_urgent` (heap-entry flavour)."""
+        event._ok = False
+        event._value = exc
+        event._state = TRIGGERED
+        heapq.heappush(self._heap, (self.now, URGENT, next(self._seq), event))
 
     def stats(self) -> Dict[str, Any]:
         out = super().stats()

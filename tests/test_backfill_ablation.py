@@ -14,9 +14,9 @@ def compute(seconds):
     return program
 
 
-def run_scenario(backfill: bool):
+def run_scenario(policy: str):
     """Long 3-node job, blocked 4-node job, tiny 1-node job."""
-    c, ctld = build_slurm_cluster(4, config=SlurmConfig(backfill=backfill))
+    c, ctld = build_slurm_cluster(4, config=SlurmConfig(policy=policy))
     long = ctld.submit(JobSpec(name="long", nodes=3, time_limit=500,
                                program=compute(400)))
     big = ctld.submit(JobSpec(name="big", nodes=4, time_limit=100,
@@ -30,7 +30,7 @@ def run_scenario(backfill: bool):
 
 class TestBackfillAblation:
     def test_backfill_lets_tiny_overtake(self):
-        c, ctld, long, big, tiny = run_scenario(backfill=True)
+        c, ctld, long, big, tiny = run_scenario("backfill")
         rec_tiny = ctld.accounting.get(tiny.job_id)
         rec_big = ctld.accounting.get(big.job_id)
         # tiny backfilled onto the idle node and finished before big
@@ -38,14 +38,14 @@ class TestBackfillAblation:
         assert rec_tiny.end_time < rec_big.alloc_time
 
     def test_fifo_makes_tiny_wait(self):
-        c, ctld, long, big, tiny = run_scenario(backfill=False)
+        c, ctld, long, big, tiny = run_scenario("fifo")
         rec_tiny = ctld.accounting.get(tiny.job_id)
         rec_big = ctld.accounting.get(big.job_id)
         # Strict FIFO: tiny may not overtake the blocked big job.
         assert rec_tiny.alloc_time >= rec_big.alloc_time
 
     def test_all_jobs_complete_either_way(self):
-        for backfill in (True, False):
-            _c, _ctld, long, big, tiny = run_scenario(backfill)
+        for policy in ("backfill", "fifo"):
+            _c, _ctld, long, big, tiny = run_scenario(policy)
             assert {long.state, big.state, tiny.state} == \
                 {JobState.COMPLETED}

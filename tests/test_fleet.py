@@ -365,3 +365,16 @@ class TestSweepCli:
         err = capsys.readouterr().err
         assert err.startswith(f"repro-slurm: {text}")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", [["--timeout", "5"],
+                                      ["--retries", "0"]])
+    def test_serial_sweep_refuses_pool_options(self, capsys, flag):
+        # timeout / retries only act on the pool; a serial sweep that
+        # took them would silently ignore them.
+        argv = ["sweep", "--axis", "policy=fifo", "--workers", "1", *flag]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-slurm: ") and "workers >= 2" in err
+        assert len(err.splitlines()) == 1
+        with pytest.raises(ReproError, match="workers >= 2"):
+            run_sweep(tiny_matrix(), timeout=5.0)

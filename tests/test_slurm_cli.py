@@ -185,6 +185,46 @@ class TestErrorBoundary:
             self.REPLAY + ["--synth", "3", "--faults", str(plan)], capsys)
         assert "line 1" in err and "'t'" in err
 
+    SWF_TAIL = " 0 3 60 1 -1 -1 1 120 -1 1 3 -1 -1 -1 -1 -1 -1\n"
+
+    @pytest.mark.parametrize("name, text, key", [
+        ("t.swf", "nan" + SWF_TAIL, "job_id"),
+        ("t.swf", "inf" + SWF_TAIL, "job_id"),
+        ("t.jsonl", '{"meta": {"comments": 5}}\n', "'comments'"),
+        ("t.jsonl", '{"fault": 5}\n', "'fault'"),
+        ("t.jsonl", '{"id": 1, "submit": "nan"}\n', "'submit'"),
+        ("t.jsonl", '{"id": 1, "submit": 1e400}\n', "'submit'"),
+        ("t.jsonl", '{"id": 1.7, "submit": 0}\n', "'id'"),
+        ("t.jsonl", '{"id": 1, "submit": 0, "persist": "no"}\n',
+         "'persist'"),
+    ])
+    def test_malformed_trace_value(self, name, text, key, tmp_path,
+                                   capsys):
+        trace = tmp_path / name
+        trace.write_text(text)
+        err = self.failing(self.REPLAY + ["--trace", str(trace)], capsys)
+        assert "line 1" in err and key in err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"meta": 5}\n', "'meta'"),
+        ('{"meta": {"comments": 5}}\n', "'comments'"),
+        ('{"t": 1, "kind": "node_crash", "node": "cn0", '
+         '"duration": "nan"}\n', "'duration'"),
+        ('{"t": 1, "kind": "urd_restart", "node": 7}\n', "'node'"),
+    ])
+    def test_malformed_plan_value(self, text, key, tmp_path, capsys):
+        plan = tmp_path / "plan.jsonl"
+        plan.write_text(text)
+        err = self.failing(["faults", "--show", str(plan)], capsys)
+        assert "line 1" in err and key in err
+
+    def test_bad_sbatch_priority(self, tmp_path, capsys):
+        script = tmp_path / "job.sbatch"
+        script.write_text("#SBATCH --nodes=1\n#SBATCH --priority=abc\n")
+        err = self.failing(["run", str(script), "--preset", "small_test"],
+                           capsys)
+        assert "line 2: bad --priority value 'abc'" in err
+
     def test_malformed_batch_script(self, tmp_path, capsys):
         script = tmp_path / "job.sbatch"
         script.write_text("#SBATCH --nodes=abc\n")
