@@ -74,15 +74,26 @@ work whose result is already known exactly:
   than 1.5e9 flows.  Infinite capacities are never pruned, nor is any
   constraint of a component with a weighted flow;
 * when, after the prune, each flow meets exactly one constraint or cap
-  that can bind, a flow freezes only with all the members of its one
-  binder, so no freeze changes another binder's count and the per-flow
-  decrements are skipped.
+  that can bind (a *one-binder* fill), a flow freezes only with all the
+  members of its one binder, so no freeze changes another binder's
+  count.  Then all binders of one (capacity, member count) class start
+  from the same ``used`` and add the same ``delta * n`` each round: they
+  have the same candidate and the same saturation test in every round,
+  so the rounds run once per class, and each flow is touched once at
+  the end, taking the level of the round its class saturated.
 
-Each component also keeps its constraints split by member count into
-two insertion-ordered dicts, ``ones`` (one member) and ``multi`` (two
-or more).  Attach, detach, merge and split already touch exactly the
-constraints whose count crosses 0↔1↔2, so they maintain the split and
-a weight-1 fill starts from it instead of classifying every constraint.
+Each component keeps its *links* (constraints of one or two members)
+in a class table keyed by (capacity, member count) and its *hubs*
+(three or more) in one dict, plus the count of each per-flow bound
+``_ub`` among its flows, its count of weighted flows and its capped
+flows by ``rate_cap``.  Attach, detach, merge, split and
+``set_capacity`` keep these exact, so a weight-1 fill prunes and counts
+binders once per link class and once per hub, and a one-binder fill
+needs no pass over the flows before its rounds.  Links are many per
+component and change class only with their own flows; a hub's count
+changes with most changes of its component (a fabric core, a Lustre
+OST), so filing it by count would cost per change what testing it
+costs per fill.
 
 :meth:`FlowScheduler._fill` gives the details; the former round loop is
 kept verbatim as a test oracle in ``tests/oracles/fill_previous.py``.
@@ -125,8 +136,11 @@ _FOLD_WINDOW = 1.0 + 4 * _EPS
 #: real member rates; :meth:`FlowScheduler._fill` derives it.
 _PRUNE_MARGIN = 1e-6
 _PRUNE_BELOW = 1.0 - _PRUNE_MARGIN
+#: A component files a constraint with at most this many members (a
+#: *link*) in its class table; a wider one (a *hub*) is its own class.
+_LINK_MAX = 2
 
-_capacity = operator.attrgetter("capacity")
+_first = operator.itemgetter(0)
 
 
 def _bound(rate_cap: Optional[float],
@@ -139,13 +153,40 @@ def _bound(rate_cap: Optional[float],
     return ub
 
 
+def _enter(table: dict, key, item) -> None:
+    """Put ``item`` in the member dict ``table[key]``, made if missing."""
+    members = table.get(key)
+    if members is None:
+        table[key] = {item: None}
+    else:
+        members[item] = None
+
+
+def _leave(table: dict, key, item) -> None:
+    """Take ``item`` out of ``table[key]``; an emptied key goes."""
+    members = table[key]
+    del members[item]
+    if not members:
+        del table[key]
+
+
+def _uncount(counts: Dict[float, int], key: float) -> None:
+    n = counts[key] - 1
+    if n:
+        counts[key] = n
+    else:
+        del counts[key]
+
+
 class CapacityConstraint:
     """A shared medium with a fixed capacity in bytes/second.
 
     ``load`` is derived on read from the member flows' current rates;
     the engine keeps no per-constraint running sum.  ``_used``,
-    ``_live_w`` and ``_live_n`` are scratch of the progressive fill:
-    :meth:`FlowScheduler._fill` sets them before it reads them.
+    ``_live_w`` and ``_live_n`` are scratch of the progressive fill's
+    round loop: :meth:`FlowScheduler._fill` sets them before it reads
+    them.  A one-binder fill keeps its round state per class and
+    writes none of them.
 
     While the constraint carries flows, its capacity changes only
     through :meth:`FlowScheduler.set_capacity`, which refreshes the
@@ -261,34 +302,89 @@ class _Component:
     stale deadline-heap entries after a reallocation, and ``alive``
     invalidates entries of merged/split/emptied components.
 
-    ``ones`` and ``multi`` split ``constraints`` by member count (one,
-    or two and more).  :class:`FlowScheduler` keeps them exact as flows
-    attach, detach and merge; :meth:`classify` derives them for each
-    part of a split, and for a component assembled by hand (a fill
-    whose dicts do not add up to ``constraints`` calls it; the engine
-    tests check that no scheduler-built component ever does).
+    What the fill reads instead of scanning members:
+
+    * ``classes`` is the class table of the links: (capacity, member
+      count) to the constraints of that class, no class empty;
+    * ``hubs`` holds the constraints of more than ``_LINK_MAX``
+      members, each a class of its own;
+    * ``ubs`` counts the flows per value of their bound ``Flow._ub``
+      (its largest key is the prune's ``U``);
+    * ``weighted`` counts the flows whose weight is not 1.0;
+    * ``capped`` maps each ``rate_cap`` to the flows that carry it.
+
+    :class:`FlowScheduler` keeps them exact as flows attach, detach and
+    merge and as ``set_capacity`` moves a constraint and its members'
+    bounds; :meth:`classify` derives them for each part of a split, and
+    for a component assembled by hand (a fill that finds no ``ubs``
+    calls it; the engine tests check the upkeep before every fill).
     """
 
-    __slots__ = ("cid", "flows", "constraints", "ones", "multi",
-                 "last_update", "deadline", "ver", "alive")
+    __slots__ = ("cid", "flows", "constraints", "classes", "hubs", "ubs",
+                 "weighted", "capped", "last_update", "deadline", "ver",
+                 "alive")
 
     def __init__(self, cid: int, now: float) -> None:
         self.cid = cid
         self.flows: Dict[Flow, None] = {}
         self.constraints: Dict[CapacityConstraint, None] = {}
-        self.ones: Dict[CapacityConstraint, None] = {}
-        self.multi: Dict[CapacityConstraint, None] = {}
+        self.classes: Dict[tuple, Dict[CapacityConstraint, None]] = {}
+        self.hubs: Dict[CapacityConstraint, None] = {}
+        self.ubs: Dict[float, int] = {}
+        self.weighted = 0
+        self.capped: Dict[float, Dict[Flow, None]] = {}
         self.last_update = now
         self.deadline = math.inf
         self.ver = 0
         self.alive = True
 
     def classify(self) -> None:
-        """Re-derive ``ones`` and ``multi`` from ``constraints``."""
-        self.ones = {}
-        self.multi = {}
+        """Re-derive the class table and the per-flow tallies from
+        ``constraints`` and ``flows``."""
+        self.classes = {}
+        self.hubs = {}
         for c in self.constraints:
-            (self.ones if len(c._flows) == 1 else self.multi)[c] = None
+            n = len(c._flows)
+            if n > _LINK_MAX:
+                self.hubs[c] = None
+            else:
+                _enter(self.classes, (c.capacity, n), c)
+        self.ubs = {}
+        self.weighted = 0
+        self.capped = {}
+        for f in self.flows:
+            self.count_flow(f)
+
+    def count_flow(self, f: Flow) -> None:
+        """Add ``f`` (already in ``flows``) to the per-flow tallies."""
+        ubs = self.ubs
+        ubs[f._ub] = ubs.get(f._ub, 0) + 1
+        if f.weight != 1.0:
+            self.weighted += 1
+        if f.rate_cap is not None:
+            _enter(self.capped, f.rate_cap, f)
+
+    def absorb(self, other: "_Component") -> None:
+        """Add a merged component's class table and tallies to these."""
+        classes = self.classes
+        for key, members in other.classes.items():
+            mine = classes.get(key)
+            if mine is None:
+                classes[key] = members
+            else:
+                mine.update(members)
+        self.hubs.update(other.hubs)
+        ubs = self.ubs
+        for ub, n in other.ubs.items():
+            ubs[ub] = ubs.get(ub, 0) + n
+        self.weighted += other.weighted
+        capped = self.capped
+        for cap, members in other.capped.items():
+            mine = capped.get(cap)
+            if mine is None:
+                capped[cap] = members
+            else:
+                mine.update(members)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<_Component #{self.cid} flows={len(self.flows)} "
@@ -457,9 +553,22 @@ class FlowScheduler:
         finished: List[Flow] = []
         if comp is not None and comp.alive:
             self._advance(comp, self.sim.now, finished)
+        old = constraint.capacity
         constraint.capacity = float(capacity)
-        for f in constraint._flows:
-            f._ub = _bound(f.rate_cap, f.constraints)
+        if comp is not None:
+            # The constraint carries flows: a link changes class, and
+            # its members' bounds (and their tally) may move.
+            n = len(constraint._flows)
+            if n <= _LINK_MAX:
+                _leave(comp.classes, (old, n), constraint)
+                _enter(comp.classes, (constraint.capacity, n), constraint)
+            ubs = comp.ubs
+            for f in constraint._flows:
+                ub = _bound(f.rate_cap, f.constraints)
+                if ub != f._ub:
+                    _uncount(ubs, f._ub)
+                    ubs[ub] = ubs.get(ub, 0) + 1
+                    f._ub = ub
         if finished:
             # Epsilon-band completions surfaced by the advance settle
             # first (this also reallocates the surviving component).
@@ -513,8 +622,7 @@ class FlowScheduler:
                 for c in comp.constraints:
                     c._component = host
                     host.constraints[c] = None
-                host.ones.update(comp.ones)
-                host.multi.update(comp.multi)
+                host.absorb(comp)
                 comp.alive = False
                 self._comps.pop(comp, None)
         else:
@@ -522,22 +630,28 @@ class FlowScheduler:
             self._comps[host] = None
         host.flows[flow] = None
         flow._component = host
-        # A constraint whose member count crosses 0 -> 1 -> 2 here
-        # enters the component, then moves from ``ones`` to ``multi``.
-        # Every constraint of a merged component now points at ``host``,
-        # so one that does not had no member.  ``Flow`` collapses a
-        # repeated constraint (a loopback bulk over its node's membus
-        # names it twice), so each count moves once.
-        ones = host.ones
+        host.count_flow(flow)
+        # Each constraint's member count goes n -> n + 1: a link moves
+        # to the next class or becomes a hub, and at 0 it also enters
+        # the component.  ``Flow`` collapses a repeated constraint (a
+        # loopback bulk over its node's membus names it twice), so each
+        # count moves once.
+        classes = host.classes
         for c in flow.constraints:
-            c._flows[flow] = None
-            if c._component is not host:
+            members = c._flows
+            n = len(members)
+            members[flow] = None
+            if n > _LINK_MAX:
+                continue        # a hub stays one
+            if n:
+                _leave(classes, (c.capacity, n), c)
+            else:
                 c._component = host
                 host.constraints[c] = None
-                ones[c] = None
-            elif c in ones:
-                del ones[c]
-                host.multi[c] = None
+            if n < _LINK_MAX:
+                _enter(classes, (c.capacity, n + 1), c)
+            else:
+                host.hubs[c] = None
         return host
 
     def _detach(self, flow: Flow) -> Optional[_Component]:
@@ -545,19 +659,32 @@ class FlowScheduler:
         comp = flow._component
         flow._component = None
         self._flows.pop(flow, None)
-        if comp is not None:
-            comp.flows.pop(flow, None)
-        for c in flow.constraints:     # 2 -> 1 -> 0, as in _attach
+        if comp is None:  # pragma: no cover - defensive
+            for c in flow.constraints:
+                del c._flows[flow]
+            return None
+        del comp.flows[flow]
+        _uncount(comp.ubs, flow._ub)     # the tallies of count_flow
+        if flow.weight != 1.0:
+            comp.weighted -= 1
+        if flow.rate_cap is not None:
+            _leave(comp.capped, flow.rate_cap, flow)
+        classes = comp.classes
+        for c in flow.constraints:     # n -> n - 1, as in _attach
             members = c._flows
-            members.pop(flow, None)
-            if not members:
+            n = len(members)
+            del members[flow]
+            if n > _LINK_MAX + 1:
+                continue        # a hub stays one
+            if n > _LINK_MAX:
+                del comp.hubs[c]
+            else:
+                _leave(classes, (c.capacity, n), c)
+            if n > 1:
+                _enter(classes, (c.capacity, n - 1), c)
+            else:
                 c._component = None
-                if comp is not None:
-                    comp.constraints.pop(c, None)
-                    comp.ones.pop(c, None)
-            elif comp is not None and len(members) == 1:
-                comp.multi.pop(c, None)
-                comp.ones[c] = None
+                del comp.constraints[c]
         return comp
 
     def _rebuild(self, comp: _Component) -> List[_Component]:
@@ -576,11 +703,16 @@ class FlowScheduler:
             # necessarily connected.
             return [comp]
         n = len(comp.flows)
-        for c in comp.constraints:
-            if len(c._flows) == n:
-                # A hub constraint spans every member (e.g. the fabric
-                # core): trivially still connected, skip the sweep.
-                return [comp]
+        # A constraint that spans every member (e.g. the fabric core)
+        # keeps the component connected: skip the sweep.
+        if n > _LINK_MAX:
+            for c in comp.hubs:
+                if len(c._flows) == n:
+                    return [comp]
+        else:
+            for _cap, k in comp.classes:
+                if k == n:
+                    return [comp]
         unvisited = dict.fromkeys(comp.flows)
         parts: List[List[Flow]] = []
         seen_c: Dict[CapacityConstraint, None] = {}
@@ -809,85 +941,100 @@ class FlowScheduler:
           component with a weighted flow prunes nothing: rounded weight
           decrements can overstate a constraint's live weight, and with
           it ``used``, by more than any fixed margin.
-        * **Class dicts, no classification.**  The one-member and
-          multi-member constraints come from ``comp.ones`` and
-          ``comp.multi``, which the scheduler keeps exact; their order
-          does not matter with every weight 1.0 (counts are exact and
-          both minimums are order-free).  Sorted by capacity, the ones
-          the fold keeps in ``live`` (below ``_FOLD_MIN``) lead, and
-          the pruned and infinite ones trail.
-        * **One binder per flow.**  Call the constraints left after the
-          prune, and the rate caps, binders; a flow with a finite
-          ``_ub`` has at least one.  When the (flow, binder) pairs are
-          exactly as many as the flows, every flow has one binder: it
-          freezes in the round that binder saturates, with all of the
-          binder's members, so no freeze changes another binder's
-          unfrozen count.  Then the per-flow decrements are skipped
-          and a saturated binder's count drops to 0 at once.  On the
-          bulk-transfer mesh, where only the per-connection caps bind,
-          that is every fill.
+        * **Class table, no classification.**  The prune test and the
+          binder count depend on a constraint only through its
+          (capacity, member count) class, so a weight-1 fill applies
+          them once per link class of ``comp.classes`` and once per
+          hub of ``comp.hubs`` (each its own class), and takes ``U``
+          from ``comp.ubs`` and the caps from ``comp.capped``: all kept
+          exact by the scheduler.  Order does not matter with every
+          weight 1.0 (counts are exact and both minimums are
+          order-free).  The folded one-member classes are sorted by
+          capacity; those below ``_FOLD_MIN`` and infinite ones go to
+          ``live``.
+        * **One binder per flow: rounds over classes.**  Call the
+          constraints left after the prune, and the rate caps, binders;
+          a flow with a finite ``_ub`` has at least one.  When the
+          (flow, binder) pairs are exactly as many as the flows, every
+          flow has one binder: it freezes in the round that binder
+          saturates, with all of the binder's members, so no freeze
+          changes another binder's unfrozen count, and each binder
+          keeps all ``n`` members live until it saturates.  Then every
+          binder of one class starts from ``used = 0.0`` and adds the
+          same ``delta * n`` each round, so all have the same candidate
+          ``(cap - used) / n`` and the same saturation test in every
+          round: :func:`_one_binder_fill` runs the rounds once per
+          class (a one-member class's ``used`` is ``level``, folded or
+          not), and a rate-cap class, keyed by ``rate_cap``, likewise
+          (a capped flow's own rate adds the same ``delta``, so it is
+          ``level`` too).  After the rounds each flow is touched once:
+          ``rate`` is the level of the round its class saturated, and
+          the deadline is each class's least ``remaining`` over that
+          level.  On the bulk-transfer mesh, where only the
+          per-connection caps bind, that is every fill.
         """
+        if not comp.ubs:
+            comp.classify()     # assembled by hand, not attached
         inf = math.inf
         flows = comp.flows
-        own = []
-        fold = True
-        ub_max = 0.0            # the largest per-flow bound ``_ub``
-        for f in flows:
-            f._frozen = False
-            if f._ub > ub_max:
-                ub_max = f._ub
-            if f.weight != 1.0:
-                fold = False
-            elif f.rate_cap is None:
-                # Uncapped weight-1 flows all rise by the same
-                # additions: they share ``level`` and take it as their
-                # rate when they freeze.  Only the others accumulate a
-                # rate of their own per round.
-                continue
-            f.rate = 0.0
-            own.append(f)
         live = []
         ones = []
+        own = []
+        fold = not comp.weighted
         if fold:
-            if len(comp.ones) + len(comp.multi) != len(comp.constraints):
-                comp.classify()     # assembled by hand, not attached
+            ub_max = max(comp.ubs)  # the largest per-flow bound ``_ub``
             below = _PRUNE_BELOW
-            live = [c for c in comp.multi
-                    if not (len(c._flows) * ub_max < c.capacity * below
-                            and _FOLD_MIN <= c.capacity < inf)]
-            binds = len(own)    # (flow, binder) pairs; these are caps
-            for c in live:
+            binds = 0           # (flow, binder) pairs
+            for capped in comp.capped.values():
+                binds += len(capped)
+            bound = []
+            for key, members in comp.classes.items():
+                cap, n = key
+                if n * ub_max < cap * below and _FOLD_MIN <= cap < inf:
+                    continue
+                binds += n * len(members)
+                bound.append((cap, n, members))
+            for c in comp.hubs:
+                cap = c.capacity
                 n = len(c._flows)
+                if n * ub_max < cap * below and _FOLD_MIN <= cap < inf:
+                    continue
                 binds += n
-                c._live_w = float(n)    # exact: every weight is 1.0
-                c._used = 0.0
-            # In ascending order, the one-member constraints the fold
-            # leaves in ``live`` (below _FOLD_MIN) lead, and the pruned
-            # and infinite ones (which stay in ``live``) trail.
-            ones = sorted(comp.ones, key=_capacity)
-            lo = 0
-            hi = len(ones)
-            while lo < hi and ones[lo].capacity < _FOLD_MIN:
-                lo += 1
-            while hi > lo and (ones[hi - 1].capacity == inf
-                               or ub_max < ones[hi - 1].capacity * below):
-                hi -= 1
-            if lo or hi < len(ones):
-                for c in ones[:lo] + ones[hi:]:
-                    if c.capacity < _FOLD_MIN or c.capacity == inf:
-                        c._used = 0.0
-                        c._live_w = 1.0
-                        binds += 1
-                        live.append(c)
-                ones = ones[lo:hi]
-            binds += len(ones)
-            for c in ones:
-                c._live_w = 1.0
+                bound.append((cap, n, (c,)))
             # A flow with a finite ``_ub`` has a binder (whatever sets
             # it is never pruned): equal counts mean one per flow.
-            shared = binds != len(flows) or ub_max == inf
+            if binds == len(flows) and ub_max < inf:
+                return _one_binder_fill(bound, comp.capped)
+            folded = []
+            for cap, n, members in bound:
+                if n == 1 and _FOLD_MIN <= cap < inf:
+                    folded.append((cap, members))
+                    continue
+                lw = float(n)   # exact: every weight is 1.0
+                for c in members:
+                    c._live_w = lw
+                    c._used = 0.0
+                live += members
+            folded.sort(key=_first)
+            for _cap, members in folded:
+                for c in members:
+                    c._live_w = 1.0
+                ones += members
+            for f in flows:
+                f._frozen = False
+                if f.rate_cap is not None:
+                    # Uncapped weight-1 flows all rise by the same
+                    # additions: they share ``level`` and take it as
+                    # their rate when they freeze.  Only capped ones
+                    # accumulate a rate of their own per round.
+                    f.rate = 0.0
+                    own.append(f)
         else:
-            shared = True
+            for f in flows:
+                f._frozen = False
+                if f.weight != 1.0 or f.rate_cap is not None:
+                    f.rate = 0.0
+                    own.append(f)
             # Weighted decrements round, so their order matters: walk
             # the component's constraints in order and prune none.
             for c in comp.constraints:
@@ -953,8 +1100,6 @@ class FlowScheduler:
                         if not f._frozen:
                             f._frozen = True
                             froze.append(f)
-                    if not shared:
-                        c._live_w = 0.0     # all its members froze
             if top < n_ones:
                 window = level * _FOLD_WINDOW
                 for i in range(top, n_ones):
@@ -967,8 +1112,6 @@ class FlowScheduler:
                             if not f._frozen:
                                 f._frozen = True
                                 froze.append(f)
-                        if not shared:
-                            c._live_w = 0.0
             for f in own:
                 f.rate += delta * f.weight
                 cap = f.rate_cap
@@ -987,10 +1130,8 @@ class FlowScheduler:
                     f.rate = level
                     if f.remaining < least:
                         least = f.remaining
-                if shared:
-                    for f in froze:
-                        for c in f.constraints:
-                            c._live_w -= 1.0
+                    for c in f.constraints:
+                        c._live_w -= 1.0
                 live = [c for c in live if c._live_w > 0.0]
             else:
                 for f in froze:
@@ -1058,3 +1199,94 @@ class FlowScheduler:
         self._wake_time = math.inf
         self._run_due()
         self._schedule_wake()
+
+
+def _one_binder_fill(bound: list, capped: Dict[float, Dict[Flow, None]]
+                     ) -> float:
+    """The rounds of a one-binder weight-1 fill, once per class.
+
+    ``bound`` holds ``(capacity, member count, constraints)`` per
+    unpruned class of the component (a hub is a class of one),
+    ``capped`` its capped flows by ``rate_cap``; each flow has exactly
+    one binder among them.  Every
+    binder of a class has the same ``used`` in every round (see
+    :meth:`FlowScheduler._fill`), so a class's candidate and saturation
+    test are its constraints' own; a rate-cap class uses the cap's test.
+    Writes every member's ``rate`` and returns the time until the first
+    completes.
+    """
+    inf = math.inf
+    eps = _EPS
+    live = [[cap, float(n), 0.0, members] for cap, n, members in bound]
+    caps = list(capped.items())
+    level = 0.0
+    settled = []    # (level, constraints) per saturated class
+    capped_at = []  # (level, flows) per saturated rate cap
+    while live or caps:
+        delta = inf
+        for r in live:
+            d = (r[0] - r[2]) / r[1]
+            if d < delta:
+                delta = d
+        for cap, _flows in caps:
+            d = cap - level
+            if d < delta:
+                delta = d
+        if delta == inf:
+            level = inf
+            break
+        if delta < 0.0:
+            delta = 0.0
+        level += delta
+        froze = False
+        keep = []
+        for r in live:
+            cap = r[0]
+            used = r[2] = r[2] + delta * r[1]
+            if cap - used <= eps * cap:
+                settled.append((level, r[3]))
+                froze = True
+            else:
+                keep.append(r)
+        live = keep
+        if caps:
+            keep = []
+            for item in caps:
+                cap = item[0]
+                if level >= cap - eps * cap:
+                    capped_at.append((level, item[1]))
+                    froze = True
+                else:
+                    keep.append(item)
+            caps = keep
+        if not froze:
+            # Numerical guard: nothing progressed; stop here.
+            break
+    # Classes left when the rounds stopped take the final level.
+    for r in live:
+        settled.append((level, r[3]))
+    for cap, flows in caps:
+        capped_at.append((level, flows))
+    next_done = inf
+    for at, members in settled:
+        least = inf
+        for c in members:
+            for f in c._flows:
+                f.rate = at
+                if f.remaining < least:
+                    least = f.remaining
+        if at > 0:
+            d = least / at
+            if d < next_done:
+                next_done = d
+    for at, flows in capped_at:
+        least = inf
+        for f in flows:
+            f.rate = at
+            if f.remaining < least:
+                least = f.remaining
+        if at > 0:
+            d = least / at
+            if d < next_done:
+                next_done = d
+    return next_done

@@ -63,9 +63,13 @@ def _parse_sbatch(tokens: list[str], fields: dict) -> None:
             fields["name"] = value
         elif key == "nodes" or key == "N":
             try:
-                fields["nodes"] = int(value)
+                nodes = int(value)
             except ValueError:
                 raise ScriptParseError(f"bad --nodes value {value!r}") from None
+            if nodes < 1:
+                # JobSpec says the same, but here the line is known.
+                raise ScriptParseError("a job needs at least one node")
+            fields["nodes"] = nodes
         elif key == "time" or key == "t":
             fields["time_limit"] = _parse_time_limit(value)
         elif key == "workflow-start":

@@ -4,18 +4,21 @@
 known exactly: weight-1 one-member constraints ride the fill level,
 constraints with no unfrozen member leave the round loop, constraints
 that can never bind are pruned by the cached per-flow bound ``_ub``,
-and the deadline comes from each round's frozen batch.  Every
+a fill where each flow has one binder runs its rounds once per class
+of equal (capacity, member count), and the deadline comes from each
+round's frozen batch.  Every
 ``sim_digest`` and exact counter of the benchmark depends on each rate
 and deadline being the same float as before (a last-bit change moves a
 wake instant), so these tests compare with ``==`` against the verbatim
 former fill in ``tests/oracles/fill_previous.py``, float weights
 included: on hand-built components, and on a whole engine run whose
-components, class dicts and bounds went through attach, finish, cancel
+components, class tables and bounds went through attach, finish, cancel
 and ``set_capacity``.
 """
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,9 +27,10 @@ from repro.errors import SimulationEnded
 from repro.net.fabric import Fabric
 from repro.net.mercury import MercuryNetwork
 from repro.sim import Simulator
+from repro.sim import flows as flows_module
 from repro.sim.flows import (
-    _FOLD_MIN, _PRUNE_MARGIN, CapacityConstraint, Flow, FlowScheduler,
-    _Component,
+    _FOLD_MIN, _LINK_MAX, _PRUNE_MARGIN, CapacityConstraint, Flow,
+    FlowScheduler, _bound, _Component,
 )
 from repro.util import GiB
 from tests.oracles.fill_previous import fill_and_deadline
@@ -295,19 +299,129 @@ class TestPruneBitIdentity:
         assert hub._used == "untouched"
 
 
+# -- the one-binder class rounds ------------------------------------------------
+
+#: Binder capacities a class can share: the common ones, and two below
+#: ``_FOLD_MIN`` (where subnormal round-off is absolute).
+BINDER_CAPS = st.one_of(capacities,
+                        st.sampled_from([_FOLD_MIN / 4, 5e-324]))
+
+
+@st.composite
+def one_binder_cases(draw):
+    """Weight-1 components in which every flow has exactly one binder:
+    1-, 2- and 3-member constraints and rate caps, with capacities from
+    a small pool (equal classes, and equal capacities at different
+    member counts) or apart, some below ``_FOLD_MIN``, under zero to
+    two hubs wide enough to be pruned, some a few ulps past the prune
+    threshold."""
+    pool = draw(st.lists(BINDER_CAPS, min_size=1, max_size=3))
+    caps = []
+    specs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from([1, 2, 3, "cap"]))
+        cap = draw(st.one_of(st.sampled_from(pool), BINDER_CAPS))
+        if kind == "cap":
+            specs.append(([], cap, 1.0))
+            continue
+        caps.append(cap)
+        specs += [([len(caps) - 1], None, 1.0) for _ in range(kind)]
+    specs = draw(st.permutations(specs))
+    ub_max = max(caps[idxs[0]] if rate_cap is None else rate_cap
+                 for idxs, rate_cap, _ in specs)
+    for _ in range(draw(st.integers(0, 2))):
+        members = draw(st.lists(st.integers(0, len(specs) - 1),
+                                min_size=1, unique=True))
+        load = len(members) * ub_max
+        base = load / PRUNE_EDGE
+        hub = draw(st.sampled_from([
+            h for h in (base + 2 * math.ulp(base), base * 2.0, 1e18)
+            if load < h * PRUNE_EDGE and h >= _FOLD_MIN
+        ] or [2.0 * _FOLD_MIN]))
+        caps.append(hub)
+        for i in members:
+            specs[i][0].append(len(caps) - 1)
+    remaining = draw(st.lists(remainders, min_size=len(specs),
+                              max_size=len(specs)))
+    return caps, specs, remaining
+
+
+def mesh_component():
+    """A ``mesh_cases`` component where only the connection caps bind:
+    four nodes on a ring, NICs and core far above what their members
+    could carry, connection links of 3.0 and 3.5, two of them shared."""
+    caps = [400.0] + [40.0] * 8 + [3.0, 3.5, 3.0, 3.5, 3.0, 3.5]
+    egress, ingress, conns = [1, 2, 3, 4], [5, 6, 7, 8], range(9, 15)
+    specs = []
+    for i, conn in enumerate([9, 10, 11, 12, 13, 14, 9, 10]):
+        src, dst = i % 4, (i + 1 + i // 4) % 4
+        specs.append(([egress[src], 0, ingress[dst], conn], None, 1.0))
+    assert set(conns) == {s[0][3] for s in specs}
+    return caps, specs, [1.0 + i for i in range(len(specs))]
+
+
+def refuse(*_args):
+    raise AssertionError("took the class rounds")
+
+
+class TestClassRounds:
+    @given(one_binder_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_one_binder_components(self, case):
+        with mock.patch.object(flows_module, "_one_binder_fill",
+                               wraps=flows_module._one_binder_fill) as spy:
+            assert_bit_identical(*case)
+        assert spy.call_count == 1
+
+    def test_a_mesh_component_takes_the_class_rounds(self, monkeypatch):
+        assert_bit_identical(*mesh_component())
+        monkeypatch.setattr(flows_module, "_one_binder_fill", refuse)
+        with pytest.raises(AssertionError, match="class rounds"):
+            FlowScheduler._fill(build(*mesh_component()))
+
+    def test_a_shared_component_does_not(self, monkeypatch):
+        # The core binds beside the connection links: two binders a flow.
+        caps, specs, remaining = mesh_component()
+        caps[0] = 12.0
+        monkeypatch.setattr(flows_module, "_one_binder_fill", refuse)
+        assert_bit_identical(caps, specs, remaining)
+
+
 # -- a whole engine run against the former fill -----------------------------------
 
 def assert_classes_exact(comp):
-    """``comp.ones`` / ``comp.multi`` split ``comp.constraints`` by
-    member count exactly, so a fill never needs ``classify()``."""
-    assert len(comp.ones) + len(comp.multi) == len(comp.constraints)
+    """``comp.classes`` holds every link in the class of its (capacity,
+    member count) and nothing else, ``comp.hubs`` every wider
+    constraint and nothing else, and the per-flow tallies
+    equal a recount, so a fill never needs ``classify()``."""
+    want = {}
+    hubs = set()
     for c in comp.constraints:
-        assert c in (comp.ones if len(c._flows) == 1 else comp.multi)
+        n = len(c._flows)
+        if n > _LINK_MAX:
+            hubs.add(c)
+        else:
+            want.setdefault((c.capacity, n), set()).add(c)
+    assert {key: set(members) for key, members in comp.classes.items()} \
+        == want
+    assert set(comp.hubs) == hubs
+    ubs = {}
+    capped = {}
+    for f in comp.flows:
+        assert f._ub == _bound(f.rate_cap, f.constraints)
+        ubs[f._ub] = ubs.get(f._ub, 0) + 1
+        if f.rate_cap is not None:
+            capped.setdefault(f.rate_cap, set()).add(f)
+    assert comp.ubs == ubs
+    assert max(comp.ubs) == max(f._ub for f in comp.flows)
+    assert comp.weighted == sum(f.weight != 1.0 for f in comp.flows)
+    assert {cap: set(members) for cap, members in comp.capped.items()} \
+        == capped
 
 
 def checked(fill):
-    """``fill`` behind a check that the scheduler kept the class dicts
-    exact: an upkeep bug in attach, detach, merge or split fails here
+    """``fill`` behind a check that the scheduler kept the class table
+    and the per-flow tallies exact: an upkeep bug in attach, detach, merge or split fails here
     instead of being repaired by the fill's fallback for hand-built
     components."""
     def run(comp):
@@ -322,7 +436,7 @@ def churn_run(seed):
     back over their node's membus; some are cancelled,
     and a degrader raises and lowers connection links (a flow's bound)
     and hubs (which may turn from never-binding to binding and back).
-    Every step checks each component's one-/multi-member split; the run
+    Every step checks each component's class table and tallies; the run
     is bounded, so a fill that stalls the clock fails instead of hanging.
     Returns the completion order and instants and the cancel instants."""
     rng = random.Random(seed)
@@ -399,7 +513,7 @@ def churn_run(seed):
 
 
 def against_the_former_fill(run, monkeypatch):
-    """``run()`` with the fill (class dicts checked before every call),
+    """``run()`` with the fill (class table checked before every call),
     then with ``_fill`` swapped for the former fill; returns both."""
     with monkeypatch.context() as m:
         m.setattr(FlowScheduler, "_fill", checked(FlowScheduler._fill))
@@ -432,7 +546,8 @@ def test_a_repeated_constraint_counts_once(monkeypatch):
         flows = list(fs._flows)
         assert [f.constraints for f in flows] == [(c,), (c, x), (x, c)]
         (comp,) = fs._comps
-        assert list(comp.multi) == [c, x] and not comp.ones
+        assert comp.classes == {(3.0, 2): {x: None}}
+        assert comp.hubs == {c: None}
         sim.run()
         return ends
 

@@ -225,6 +225,14 @@ class TestErrorBoundary:
                            capsys)
         assert "line 2: bad --priority value 'abc'" in err
 
+    @pytest.mark.parametrize("nodes", ["0", "-3"])
+    def test_sbatch_nodes_below_one(self, nodes, tmp_path, capsys):
+        script = tmp_path / "job.sbatch"
+        script.write_text(f"#SBATCH --job-name=x\n#SBATCH --nodes={nodes}\n")
+        err = self.failing(["run", str(script), "--preset", "small_test"],
+                           capsys)
+        assert "line 2: a job needs at least one node" in err
+
     def test_malformed_batch_script(self, tmp_path, capsys):
         script = tmp_path / "job.sbatch"
         script.write_text("#SBATCH --nodes=abc\n")
