@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 
 from repro.cluster import build, small_test
-from repro.faults import FaultInjector, FaultPlan, FaultRecord
+from repro.faults import FaultPlan, FaultRecord, arm_plan
 from repro.workflows import PipelineConfig, PipelineEngine, deep_chain
 
 QUICK = bool(os.environ.get("WORKFLOW_BENCH_QUICK"))
@@ -39,12 +39,10 @@ CRASH_AT = (DEPTH - 2) * RUNTIME + 40.0
 
 def run_chain(checkpointed: bool):
     handle = build(small_test(4), seed=0)
-    injector = FaultInjector(handle, FaultPlan(
+    injector = arm_plan(handle, FaultPlan(
         name="bench", records=(
             FaultRecord(time=CRASH_AT, kind="node_crash", target="cn0",
                         duration=60.0),)))
-    handle.ctld.config.requeue_on_failure = True
-    injector.start()
     engine = PipelineEngine(
         handle, deep_chain(DEPTH, runtime=RUNTIME),
         PipelineConfig(

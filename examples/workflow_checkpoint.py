@@ -16,7 +16,7 @@ Run:  python examples/workflow_checkpoint.py
 """
 
 from repro.cluster import build, small_test
-from repro.faults import FaultInjector, fault_profile
+from repro.faults import arm_plan, fault_profile
 from repro.workflows import PipelineConfig, PipelineEngine, diamond
 
 SEED = 3
@@ -28,9 +28,7 @@ def run_diamond(checkpoint_interval: float):
     handle = build(small_test(4), seed=SEED)
     plan = fault_profile("chaos", horizon=4 * pipeline.total_runtime,
                          nodes=handle.node_names, seed=SEED)
-    injector = FaultInjector(handle, plan)
-    handle.ctld.config.requeue_on_failure = True
-    injector.start()
+    injector = arm_plan(handle, plan)
     engine = PipelineEngine(
         handle, pipeline,
         PipelineConfig(checkpoint_interval=checkpoint_interval))

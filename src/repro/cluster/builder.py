@@ -79,11 +79,10 @@ def build(spec: ClusterSpec, seed: int = 0,
           slurm_config: Optional[SlurmConfig] = None) -> ClusterHandle:
     """Build the cluster described by ``spec``.
 
-    An explicit ``slurm_config`` wins wholesale; otherwise the spec's
-    ``scheduler_policy`` field selects the scheduling policy.
+    The controller runs ``slurm_config`` (default: :class:`SlurmConfig`,
+    whose policy is the registry default); a command that takes a
+    policy by name applies it with :meth:`Slurmctld.set_policy`.
     """
-    if slurm_config is None and spec.scheduler_policy:
-        slurm_config = SlurmConfig(policy=spec.scheduler_policy)
     sim = Simulator()
     rng = RngRegistry(seed)
     fabric = Fabric(sim, core_bandwidth=spec.fabric_core_bandwidth,

@@ -17,8 +17,7 @@ __all__ = ["nextgenio", "archer_like", "marenostrum4_like", "small_test",
 
 
 def nextgenio(n_nodes: int = 34, track_nvme: bool = False,
-              workers: int = 8,
-              scheduler: str = "backfill") -> ClusterSpec:
+              workers: int = 8) -> ClusterSpec:
     """The NEXTGenIO prototype (Section V-A).
 
     34 nodes, dual Xeon 8260M (48 cores), 192 GiB RAM, 3 TB DCPMM per
@@ -69,7 +68,6 @@ def nextgenio(n_nodes: int = 34, track_nvme: bool = False,
             client_write_cap=1.42 * GB,
         ),
         urd_workers=workers,
-        scheduler_policy=scheduler,
     )
 
 
@@ -146,9 +144,7 @@ def marenostrum4_like(n_nodes: int = 64) -> ClusterSpec:
     )
 
 
-def replay_scale(n_nodes: int = 64, workers: int = 4,
-                 scheduler: str = "backfill",
-                 fault_profile: str = "") -> ClusterSpec:
+def replay_scale(n_nodes: int = 64, workers: int = 4) -> ClusterSpec:
     """A NEXTGenIO-flavoured machine sized for trace-replay runs.
 
     Scales the Section V-A node recipe out to ``n_nodes`` and widens the
@@ -156,11 +152,7 @@ def replay_scale(n_nodes: int = 64, workers: int = 4,
     drain without the single-OSS front link becoming the only story.
     Per-client caps stay at the calibrated NEXTGenIO values, so
     single-job staging behaviour matches the paper while the aggregate
-    scales with the bigger rack.  ``scheduler`` picks the scheduling
-    policy from the :mod:`repro.slurm.policies` registry (the policy
-    A/B experiment replays one trace across all of them);
-    ``fault_profile`` names a default failure schedule from the
-    :mod:`repro.faults.profiles` registry for resilience studies.
+    scales with the bigger rack.
     """
     base = nextgenio(n_nodes=n_nodes, workers=workers)
     return ClusterSpec(
@@ -191,13 +183,10 @@ def replay_scale(n_nodes: int = 64, workers: int = 4,
             client_write_cap=1.42 * GB,
         ),
         urd_workers=workers,
-        scheduler_policy=scheduler,
-        fault_profile=fault_profile,
     )
 
 
-def small_test(n_nodes: int = 4, scheduler: str = "backfill",
-               fault_profile: str = "") -> ClusterSpec:
+def small_test(n_nodes: int = 4) -> ClusterSpec:
     """A small, fast cluster for unit tests and examples."""
     spec = nextgenio(n_nodes=n_nodes)
     return ClusterSpec(
@@ -215,8 +204,6 @@ def small_test(n_nodes: int = 4, scheduler: str = "backfill",
         na_plugin="ofi+tcp",
         pfs=spec.pfs,
         urd_workers=4,
-        scheduler_policy=scheduler,
-        fault_profile=fault_profile,
     )
 
 

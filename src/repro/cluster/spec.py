@@ -74,15 +74,6 @@ class ClusterSpec:
     pfs_nsid: str = "lustre://"
     pfs_mount: str = "/lustre"
     urd_workers: int = 8
-    #: Scheduling policy from the :mod:`repro.slurm.policies` registry
-    #: ("fifo", "backfill", "conservative", "staging-aware", ...); the
-    #: builder passes it to slurmctld unless an explicit
-    #: :class:`~repro.slurm.slurmctld.SlurmConfig` overrides it.
-    scheduler_policy: str = "backfill"
-    #: Default fault profile from the :mod:`repro.faults.profiles`
-    #: registry ("node-churn", "chaos", ...) applied by replay drivers
-    #: when no explicit ``--faults`` plan is given; "" = no faults.
-    fault_profile: str = ""
     #: Attach the RPC resilience layer (:mod:`repro.resilience`) to
     #: every urd.  It is built *disarmed* — zero events, zero overhead
     #: — until a non-empty fault plan arms it, so leaving this on does

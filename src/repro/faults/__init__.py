@@ -13,7 +13,9 @@ reproduces the same failures — and the same recoveries — run after run.
   ("node-churn", "flaky-network", "chaos", ...).
 * :mod:`repro.faults.engine` — the injector and the
   :class:`ResilienceStats` the replay report renders (requeues, lost /
-  retried staging work, downtime, MTTR, goodput).
+  retried staging work, downtime, MTTR, goodput); :func:`arm_plan` /
+  :func:`end_plan` are how every run (replay, ``run``, ``workflows``)
+  starts a plan and ends it.
 
 A zero-fault plan schedules nothing and leaves every byte of every
 report unchanged — injection is free when idle.
@@ -26,11 +28,14 @@ from repro.faults.plan import (
 from repro.faults.profiles import (
     available_profiles, fault_profile, register_profile,
 )
-from repro.faults.engine import FaultInjector, ResilienceStats
+from repro.faults.engine import (
+    FaultInjector, ResilienceStats, arm_plan, end_plan, resilience_table,
+)
 
 __all__ = [
     "FAULT_KINDS", "FaultRecord", "FaultPlan",
     "parse_plan", "format_plan", "load_plan", "dump_plan",
     "available_profiles", "fault_profile", "register_profile",
     "FaultInjector", "ResilienceStats",
+    "arm_plan", "end_plan", "resilience_table",
 ]

@@ -23,12 +23,14 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import FaultError
 from repro.faults.plan import FaultPlan, FaultRecord
+from repro.util.tables import render_table
 from repro.util.units import format_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.builder import ClusterHandle
 
-__all__ = ["ResilienceStats", "FaultInjector", "PARTITION_FLOOR"]
+__all__ = ["ResilienceStats", "FaultInjector", "PARTITION_FLOOR",
+           "arm_plan", "end_plan", "resilience_table"]
 
 #: Capacity floor (bytes/s) a partitioned link is re-rated to; the flow
 #: engine needs strictly positive capacities, and one byte per second
@@ -409,3 +411,39 @@ class FaultInjector:
         if total_jobs > 0:
             stats.goodput = completed_jobs / total_jobs
         return stats
+
+
+# -- the one way a run arms and ends a plan ------------------------------
+def arm_plan(handle: "ClusterHandle", plan: Optional[FaultPlan],
+             at: Optional[float] = None) -> Optional[FaultInjector]:
+    """Start ``plan`` on ``handle``'s cluster, anchored at ``at``
+    (default now); ``None`` arms nothing.
+
+    A plan with records also turns on the controller's
+    ``requeue_on_failure``, so transient faults (daemon restarts,
+    corrupted transfers) requeue jobs instead of failing them; a plan
+    with none changes nothing.
+    """
+    if plan is None:
+        return None
+    injector = FaultInjector(handle, plan)
+    if plan.records:
+        handle.ctld.config.requeue_on_failure = True
+    return injector.start(at=at)
+
+
+def end_plan(injector: Optional[FaultInjector], completed_jobs: int,
+             total_jobs: int) -> Optional[ResilienceStats]:
+    """Stop and finalize what :func:`arm_plan` started; ``None`` when
+    nothing was armed or the plan had no records."""
+    if injector is None or not injector.plan.records:
+        return None
+    injector.stop()
+    return injector.finalize(completed_jobs=completed_jobs,
+                             total_jobs=total_jobs)
+
+
+def resilience_table(stats: ResilienceStats) -> str:
+    """The report's resilience table."""
+    return render_table(("metric", "value"), stats.rows(),
+                        title="resilience")

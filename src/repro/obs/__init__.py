@@ -32,6 +32,7 @@ from repro.obs.collect import (
     collect_resilience,
     collect_scheduler,
     collect_urds,
+    kernel_table,
 )
 from repro.obs.export import (
     chrome_trace,
@@ -52,6 +53,7 @@ __all__ = [
     "collect_resilience",
     "collect_scheduler",
     "collect_urds",
+    "kernel_table",
     "chrome_trace",
     "spans_jsonl",
     "metrics_jsonl",

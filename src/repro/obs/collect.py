@@ -32,10 +32,12 @@ Metric glossary (all names; labels in braces):
 from __future__ import annotations
 
 from repro.obs.metrics import MetricsRegistry
+from repro.util.tables import render_table
 
 __all__ = [
     "collect_kernel",
     "collect_kernel_stats",
+    "kernel_table",
     "collect_scheduler",
     "collect_urds",
     "collect_resilience",
@@ -80,6 +82,15 @@ def collect_kernel_stats(reg: MetricsRegistry, stats) -> None:
             reg.info("kernel.impl", value)
         else:
             reg.gauge(f"kernel.{key}").set(value)
+
+
+def kernel_table(stats, title: str = "event kernel") -> str:
+    """The ``--perf`` footer: a ``stats()`` dict as the event-kernel
+    table (dispatches, defunct skips, compactions)."""
+    reg = MetricsRegistry()
+    collect_kernel_stats(reg, stats)
+    return render_table(("counter", "value"), reg.rows(prefix="kernel."),
+                        title=title)
 
 
 def collect_scheduler(reg: MetricsRegistry, ctld) -> None:

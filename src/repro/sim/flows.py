@@ -894,6 +894,11 @@ class FlowScheduler:
           all frozen takes part in no later round, so each round walks
           ``live`` and drops such constraints as their last member
           freezes (order preserved: weighted decrements depend on it).
+        * **No bookkeeping after the last round.**  When a round
+          freezes every flow still unfrozen, no later round reads the
+          unfrozen weights and counts, so their decrements and the
+          ``live`` rebuild are skipped (the fill starts every
+          constraint it walks afresh).
         * **One-member constraints ride the fill level.**  When every
           flow of the component has weight 1.0, a constraint with one
           member adds ``delta * 1.0`` to its ``used`` in exactly the
@@ -1123,6 +1128,7 @@ class FlowScheduler:
                 # Numerical guard: nothing progressed; stop here.
                 break
             least = math.inf
+            left -= len(froze)
             if fold:
                 # Weight sums are exact counts: ``_live_w`` alone
                 # tracks the unfrozen members.
@@ -1130,13 +1136,14 @@ class FlowScheduler:
                     f.rate = level
                     if f.remaining < least:
                         least = f.remaining
-                    for c in f.constraints:
-                        c._live_w -= 1.0
-                live = [c for c in live if c._live_w > 0.0]
+                if left:
+                    for f in froze:
+                        for c in f.constraints:
+                            c._live_w -= 1.0
+                    live = [c for c in live if c._live_w > 0.0]
             else:
                 for f in froze:
-                    w = f.weight
-                    if w == 1.0:
+                    if f.weight == 1.0:
                         f.rate = level
                         if f.remaining < least:
                             least = f.remaining
@@ -1144,15 +1151,17 @@ class FlowScheduler:
                         d = f.remaining / f.rate
                         if d < next_done:
                             next_done = d
-                    for c in f.constraints:
-                        c._live_w -= w
-                        c._live_n -= 1
-                live = [c for c in live if c._live_n > 0]
+                if left:
+                    for f in froze:
+                        w = f.weight
+                        for c in f.constraints:
+                            c._live_w -= w
+                            c._live_n -= 1
+                    live = [c for c in live if c._live_n > 0]
             if level > 0:
                 d = least / level
                 if d < next_done:
                     next_done = d
-            left -= len(froze)
             if own:
                 own = [f for f in own if not f._frozen]
         if left:

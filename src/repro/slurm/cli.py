@@ -36,12 +36,13 @@ The module is also runnable — ``python -m repro.slurm.cli <command>``:
 * ``faults`` lists fault profiles, emits a seeded plan file, or
   describes an existing plan.
 
-Both ``run`` and ``replay`` take ``--scheduler`` to pick any policy
-from the :mod:`repro.slurm.policies` registry, and ``--faults
-PLAN.jsonl`` to inject a deterministic failure schedule
-(:mod:`repro.faults`); ``replay`` can also name a ``--fault-profile``
-directly and then reports resilience metrics (requeues, lost staging
-work, MTTR, goodput).
+Every command that runs jobs (``replay``, ``trace``, ``top``, ``run``,
+``workflows``) takes ``--scheduler`` to pick any policy from the
+:mod:`repro.slurm.policies` registry, and ``--faults PLAN.jsonl`` to
+inject a deterministic failure schedule (:mod:`repro.faults`); all but
+``run`` can instead name a ``--fault-profile``.  A plan with records
+adds the resilience metrics (requeues, lost staging work, MTTR,
+goodput) to the output.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Optional
 
 from repro.cluster.presets import PRESETS
 from repro.errors import ReproError
-from repro.slurm.policies import available_policies
+from repro.slurm.policies import DEFAULT_POLICY, available_policies
 from repro.slurm.slurmctld import Slurmctld
 from repro.util.tables import render_table
 from repro.util.units import format_bytes, format_seconds
@@ -201,7 +202,8 @@ def _replay(args, trace, traced=False, categories=None):
 
     handle = _build_preset(args)
     tracer = handle.enable_tracing(categories) if traced else None
-    plan = _resolve_fault_plan(args, handle, trace)
+    plan = _resolve_fault_plan(
+        args, handle, horizon=max(60.0, trace.duration / args.compression))
     replayer = TraceReplayer(
         handle, trace,
         ReplayConfig(time_compression=args.compression,
@@ -341,20 +343,15 @@ def _build_run_parser(sub) -> None:
 
 
 def _cmd_run(args) -> int:
-    handle = _build_preset(args)
+    from repro.faults import arm_plan, end_plan, load_plan, resilience_table
+
+    handle = _build_preset(args, policy=args.scheduler)
     ctld = handle.ctld
     for node in (n.strip() for n in args.drain.split(",")):
         if node:
             ctld.drain_node(node, reason="drained via --drain")
-    injector = None
-    if args.faults:
-        from repro.faults import FaultInjector, load_plan
-        injector = FaultInjector(handle, load_plan(args.faults))
-        if injector.plan.n_faults:
-            # Only a plan that actually fires flips the failure
-            # semantics; an empty plan must change nothing.
-            ctld.config.requeue_on_failure = True
-        injector.start()
+    injector = arm_plan(handle,
+                        load_plan(args.faults) if args.faults else None)
     jobs = []
     for path in args.scripts:
         with open(path) as fh:
@@ -373,20 +370,14 @@ def _cmd_run(args) -> int:
               "(not enough serviceable nodes)")
     if args.drain:
         print(sinfo(ctld))
-    if injector is not None and injector.plan.n_faults:
-        injector.stop()
-        completed = sum(1 for j in jobs if j.state.value == "completed")
-        stats = injector.finalize(completed_jobs=completed,
-                                  total_jobs=len(jobs))
-        print(render_table(("metric", "value"), stats.rows(),
-                           title="resilience"))
+    stats = end_plan(
+        injector, total_jobs=len(jobs),
+        completed_jobs=sum(1 for j in jobs if j.state.value == "completed"))
+    if stats is not None:
+        print(resilience_table(stats))
     if args.perf:
-        from repro.obs import MetricsRegistry, collect_kernel
-        reg = MetricsRegistry()
-        collect_kernel(reg, handle.sim)
-        print(render_table(("counter", "value"),
-                           reg.rows(prefix="kernel."),
-                           title="event kernel"))
+        from repro.obs import kernel_table
+        print(kernel_table(handle.sim.stats()))
     failed = [j for j in jobs if j.state.value != "completed"]
     for job in failed:
         print(f"job {job.job_id} ({job.spec.name}): {job.state.value}"
@@ -426,6 +417,7 @@ def _build_workflows_parser(sub) -> None:
 
 
 def _cmd_workflows(args) -> int:
+    from repro.faults import arm_plan, end_plan, resilience_table
     from repro.workflows import (
         PipelineConfig, PipelineEngine, deep_chain, diamond,
     )
@@ -433,34 +425,20 @@ def _cmd_workflows(args) -> int:
         pipeline = diamond(runtime=args.runtime)
     else:
         pipeline = deep_chain(args.depth, runtime=args.runtime)
-    handle = _build_preset(args)
-    injector = None
-    profile = args.fault_profile or handle.spec.fault_profile
-    if args.faults or profile:
-        from repro.faults import FaultInjector, fault_profile, load_plan
-        if args.faults:
-            plan = load_plan(args.faults)
-        else:
-            horizon = max(300.0, 4 * pipeline.total_runtime)
-            plan = fault_profile(profile, horizon=horizon,
-                                 nodes=handle.node_names,
-                                 seed=args.seed)
-        injector = FaultInjector(handle, plan)
-        handle.ctld.config.requeue_on_failure = True
-        injector.start()
+    handle = _build_preset(args, policy=args.scheduler)
+    injector = arm_plan(handle, _resolve_fault_plan(
+        args, handle, horizon=max(300.0, 4 * pipeline.total_runtime)))
     engine = PipelineEngine(
         handle, pipeline,
         PipelineConfig(checkpoint_interval=args.checkpoint_interval,
                        checkpoint_bytes=args.checkpoint_bytes,
                        max_rounds=args.max_rounds))
     report = engine.run()
-    if injector is not None:
-        injector.stop()
-        done = {s for rnd in report.rounds for s in rnd.completed}
-        stats = injector.finalize(completed_jobs=len(done),
-                                  total_jobs=report.n_stages)
-        print(render_table(("metric", "value"), stats.rows(),
-                           title="resilience"))
+    done = {s for rnd in report.rounds for s in rnd.completed}
+    stats = end_plan(injector, completed_jobs=len(done),
+                     total_jobs=report.n_stages)
+    if stats is not None:
+        print(resilience_table(stats))
     print(report.to_text())
     return 0 if report.completed else 1
 
@@ -556,16 +534,12 @@ def _cmd_sweep(args) -> int:
         print(f"resumed {resumed} completed run(s) from {args.out}")
     print(report.to_text())
     if args.perf:
-        from repro.obs import MetricsRegistry, collect_kernel_stats
+        from repro.obs import kernel_table
         for result in report.results:
             kernel = result.runstats.get("kernel")
-            if not kernel:
-                continue
-            reg = MetricsRegistry()
-            collect_kernel_stats(reg, kernel)
-            print(render_table(("counter", "value"),
-                               reg.rows(prefix="kernel."),
-                               title=f"event kernel: {result.run_id}"))
+            if kernel:
+                print(kernel_table(kernel,
+                                   title=f"event kernel: {result.run_id}"))
     if args.out:
         print(f"artifacts under {args.out}/runs/ "
               f"(merged report: {args.out}/fleet_report.txt)")
@@ -578,8 +552,9 @@ def _build_policies_parser(sub) -> None:
         "policies",
         help="list the registered scheduling policies",
         description="Show every policy in the repro.slurm.policies "
-                    "registry (usable with --scheduler, cluster preset "
-                    "scheduler_policy and SlurmConfig.policy).")
+                    "registry (usable with --scheduler on every command "
+                    "that runs jobs, the sweep's policy axis and "
+                    "SlurmConfig.policy).")
     p.set_defaults(func=_cmd_policies)
 
 
@@ -671,19 +646,18 @@ def _add_fault_options(p, with_profile: bool) -> None:
                        choices=[""] + names, metavar="PROFILE",
                        help="generate the plan from a named profile "
                             f"instead (one of: {', '.join(names)}); "
-                            "default: the preset's fault_profile")
+                            "default: no faults")
 
 
-def _resolve_fault_plan(args, handle, trace):
-    """--faults file wins; else an explicit or preset fault profile."""
+def _resolve_fault_plan(args, handle, horizon: float):
+    """The --faults plan file; else the --fault-profile plan over
+    ``horizon`` seconds; else None."""
     from repro.faults import fault_profile, load_plan
     if args.faults:
         return load_plan(args.faults)
-    profile = args.fault_profile or handle.spec.fault_profile
-    if not profile:
+    if not args.fault_profile:
         return None
-    horizon = max(60.0, trace.duration / args.compression)
-    return fault_profile(profile, horizon=horizon,
+    return fault_profile(args.fault_profile, horizon=horizon,
                          nodes=handle.node_names, seed=args.seed)
 
 
@@ -693,24 +667,22 @@ def _add_scheduler_option(p) -> None:
                    metavar="POLICY",
                    help="scheduling policy (see the 'policies' "
                         f"subcommand; one of: {', '.join(names)}); "
-                        "default: the preset's policy")
+                        f"default: {DEFAULT_POLICY}")
 
 
-def _build_preset(args):
+def _build_preset(args, policy: str = ""):
+    """Build ``--preset`` (``--nodes`` wide if given) and, if ``policy``
+    names one, schedule under it.  The replay-family commands pass no
+    policy: ``ReplayConfig.scheduler`` applies theirs, so the report
+    labels itself with it."""
     from repro.cluster import build
 
     preset = PRESETS[args.preset]
-    kwargs = {}
-    if args.nodes:
-        kwargs["n_nodes"] = args.nodes
-    if getattr(args, "scheduler", "") and \
-            args.command not in ("replay", "trace", "top"):
-        # the replay-family commands apply --scheduler through
-        # ReplayConfig instead, so the report labels itself with the
-        # chosen policy.
-        kwargs["scheduler"] = args.scheduler
-    spec = preset(**kwargs)
-    return build(spec, seed=args.seed)
+    spec = preset(n_nodes=args.nodes) if args.nodes else preset()
+    handle = build(spec, seed=args.seed)
+    if policy:
+        handle.ctld.set_policy(policy)
+    return handle
 
 
 def main(argv: Optional[list[str]] = None) -> int:

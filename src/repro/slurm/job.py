@@ -13,7 +13,11 @@ from repro.sim.core import Event, Simulator
 from repro.storage.filesystem import FileContent, normalize
 
 __all__ = ["JobState", "StageDirective", "PersistDirective", "JobSpec",
-           "Job", "StepContext", "split_locator"]
+           "Job", "StepContext", "split_locator", "MIN_TIME_LIMIT"]
+
+#: Floor (seconds) on the time limit the trace replayer and the
+#: pipeline engine derive for the jobs they generate.
+MIN_TIME_LIMIT = 600.0
 
 
 class JobState(enum.Enum):

@@ -17,10 +17,12 @@ pieces:
   reservations, and the NORNS-E.T.A./locality-driven
   :mod:`~repro.slurm.policies.staging_aware` policy.
 
-Selection is wired end to end: ``SlurmConfig(policy=...)``, the
-``scheduler_policy`` field of cluster presets, ``--scheduler`` on the
-CLI ``run``/``replay`` commands, and ``ReplayConfig(scheduler=...)``
-for trace replay all resolve through the same registry.
+A run chooses its policy in one place, and every place resolves
+through the same registry: ``SlurmConfig(policy=...)`` when the
+controller is built, ``Slurmctld.set_policy`` after the build (what
+``--scheduler`` does on ``run`` and ``workflows``), and
+``ReplayConfig(scheduler=...)`` for trace replay (``--scheduler`` on
+``replay``/``trace``/``top`` and the sweep's ``policy`` axis).
 """
 
 from repro.slurm.policies.base import (

@@ -63,8 +63,6 @@ class SlurmConfig:
     #: registry ("fifo", "backfill", "conservative", "staging-aware",
     #: ...).
     policy: str = DEFAULT_POLICY
-    #: Keyword options forwarded to the policy constructor.
-    policy_options: Optional[Dict[str, object]] = None
     #: How many times a job knocked out by a node failure is put back
     #: in the pending queue before it is failed for good.
     max_requeues: int = 3
@@ -111,8 +109,7 @@ class Slurmctld:
             self.priorities, workflows=self.workflows,
             selector=self.selector, free_nodes=slurmds,
             stage_in_estimator=self._estimate_stage_in_seconds)
-        self.policy = create_policy(self.config.policy,
-                                    **(self.config.policy_options or {}))
+        self.policy = create_policy(self.config.policy)
         self.accounting = AccountingLog()
         #: optional attached CheckpointStore (see repro.workflows):
         #: the failure path consults it to clean partial stage
@@ -144,9 +141,9 @@ class Slurmctld:
         self._events: Store = Store(sim, name="slurmctld:events")
         sim.process(self._main_loop(), name="slurmctld")
 
-    def set_policy(self, name: str, **options) -> None:
+    def set_policy(self, name: str) -> None:
         """Swap the scheduling policy (takes effect on the next pass)."""
-        self.policy = create_policy(name, **options)
+        self.policy = create_policy(name)
         self.config.policy = name
         self.state.mark_dirty()
 

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import ReproError, SimulationEnded
-from repro.slurm.job import Job, JobSpec, StageDirective, PersistDirective
+from repro.slurm.job import (
+    MIN_TIME_LIMIT, Job, JobSpec, PersistDirective, StageDirective,
+)
 from repro.traces.records import Trace, TraceJob
 from repro.util.stats import Summary, summarize
 from repro.util.tables import render_table
@@ -38,6 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ReplayConfig", "JobMetric", "ReplayReport", "TraceReplayer"]
 
+#: bounded-slowdown threshold (seconds), the literature's tau.
+BOUNDED_SLOWDOWN_TAU = 10.0
+
 
 @dataclass(frozen=True)
 class ReplayConfig:
@@ -50,16 +55,8 @@ class ReplayConfig:
     batch_window: float = 0.0
     #: scale factor on trace run times (shrink jobs for quick runs).
     runtime_scale: float = 1.0
-    #: scale factor on staged data volumes.
-    data_scale: float = 1.0
     #: clip jobs wider than the cluster instead of refusing the trace.
     clip_nodes: bool = True
-    #: pre-seed PFS input datasets for root stage-in jobs.
-    seed_inputs: bool = True
-    #: bounded-slowdown threshold (seconds), the literature's tau.
-    bounded_slowdown_tau: float = 10.0
-    #: floor on the derived per-job time limit (seconds).
-    min_time_limit: float = 600.0
     #: scheduling-policy name (:mod:`repro.slurm.policies` registry) to
     #: replay under; "" keeps the cluster's configured policy and the
     #: legacy report layout.  When set, the report head grows a POLICY
@@ -84,8 +81,7 @@ class ReplayConfig:
     def __post_init__(self) -> None:
         if self.time_compression <= 0:
             raise ReproError("time_compression must be positive")
-        if self.batch_window < 0 or self.runtime_scale <= 0 \
-                or self.data_scale <= 0:
+        if self.batch_window < 0 or self.runtime_scale <= 0:
             raise ReproError("bad replay config")
         if self.checkpoint_interval < 0 or self.checkpoint_bytes < 0:
             raise ReproError("checkpoint knobs must be non-negative")
@@ -150,7 +146,7 @@ class ReplayReport:
     kernel_stats: Optional[Dict[str, object]] = None
     #: unified :class:`repro.obs.MetricsRegistry` built at finalize —
     #: kernel, scheduler, urd, RPC, resilience and flow counters under
-    #: canonical names.  The ``perf=True`` footer renders from it.
+    #: canonical names.
     registry: Optional[object] = None
     metrics: List[JobMetric] = field(default_factory=list)
     state_counts: Dict[str, int] = field(default_factory=dict)
@@ -252,25 +248,15 @@ class ReplayReport:
             title="cluster totals")
         parts = [head, states, dist, totals]
         if self.resilience is not None:
-            parts.append(render_table(("metric", "value"),
-                                      self.resilience.rows(),
-                                      title="resilience"))
+            from repro.faults import resilience_table
+            parts.append(resilience_table(self.resilience))
             if self.checkpoints is not None:
                 parts.append(render_table(("metric", "value"),
                                           self.checkpoints.rows(),
                                           title="checkpoints"))
-        if perf:
-            if self.registry is not None:
-                parts.append(render_table(
-                    ("counter", "value"),
-                    self.registry.rows(prefix="kernel."),
-                    title="event kernel"))
-            elif self.kernel_stats is not None:
-                parts.append(render_table(
-                    ("counter", "value"),
-                    [(k, self.kernel_stats[k])
-                     for k in sorted(self.kernel_stats)],
-                    title="event kernel"))
+        if perf and self.kernel_stats is not None:
+            from repro.obs.collect import kernel_table
+            parts.append(kernel_table(self.kernel_stats))
         return "\n\n".join(parts) + "\n"
 
     def __str__(self) -> str:
@@ -298,7 +284,6 @@ class TraceReplayer:
         if self.config.scheduler:
             self.ctld.set_policy(self.config.scheduler)
         self._fault_plan = self._merged_fault_plan()
-        self._injector = None
         self._ckpt_store = None
         if self.config.checkpoint_interval > 0:
             from repro.workflows.checkpoint import CheckpointStore
@@ -326,28 +311,21 @@ class TraceReplayer:
     # -- public ----------------------------------------------------------
     def run(self) -> ReplayReport:
         """Replay the whole trace; returns the finished report."""
+        from repro.faults import arm_plan, end_plan
         ordered = self.trace.sorted_jobs()
         if not ordered:
             return self.report
-        if self.config.seed_inputs:
-            seeds = [t for t in ordered
-                     if t.stage_in_bytes > 0 and t.dependency is None]
-            if seeds:
-                if self.handle.pfs is None:
-                    raise ReproError(
-                        "trace needs PFS input seeding but the cluster "
-                        "has no parallel filesystem")
-                self.sim.run(self.sim.process(self._seed(seeds),
-                                              name="replay:seed"))
+        seeds = [t for t in ordered
+                 if t.stage_in_bytes > 0 and t.dependency is None]
+        if seeds:
+            if self.handle.pfs is None:
+                raise ReproError(
+                    "trace needs PFS input seeding but the cluster "
+                    "has no parallel filesystem")
+            self.sim.run(self.sim.process(self._seed(seeds),
+                                          name="replay:seed"))
         start = self._start = self.sim.now
-        if self._fault_plan is not None:
-            from repro.faults import FaultInjector
-            self._injector = FaultInjector(self.handle, self._fault_plan)
-            if self._fault_plan.n_faults:
-                # Transient faults (daemon restarts, corrupted
-                # transfers) requeue jobs instead of failing workflows.
-                self.ctld.config.requeue_on_failure = True
-            self._injector.start(at=start)
+        injector = arm_plan(self.handle, self._fault_plan, at=start)
         driver = self.sim.process(self._drive(ordered, start),
                                   name="replay:driver")
         self.sim.run(driver)
@@ -363,11 +341,9 @@ class TraceReplayer:
                         self.report.state_counts.get("stranded", 0) + 1
         self._finalize(start)
         self.report.checkpoints = self._ckpt_store
-        if self._injector is not None and self._fault_plan.n_faults:
-            self._injector.stop()
-            self.report.resilience = self._injector.finalize(
-                completed_jobs=self.report.completed,
-                total_jobs=self.trace.n_jobs)
+        self.report.resilience = end_plan(
+            injector, completed_jobs=self.report.completed,
+            total_jobs=self.trace.n_jobs)
         return self.report
 
     # -- phases ----------------------------------------------------------
@@ -375,8 +351,7 @@ class TraceReplayer:
         """Pre-create PFS input datasets for root stage-in jobs."""
         for tj in seeds:
             n_files = max(1, tj.stage_in_files)
-            per_file = max(1, int(tj.stage_in_bytes
-                                  * self.config.data_scale) // n_files)
+            per_file = max(1, int(tj.stage_in_bytes) // n_files)
             for i in range(n_files):
                 yield self.handle.pfs.write(
                     None, f"{_seed_dir(tj.job_id)}/r0_f{i}.dat",
@@ -416,8 +391,8 @@ class TraceReplayer:
                     f"cluster has {n_cluster}")
             nodes = n_cluster
         run = tj.runtime * cfg.runtime_scale
-        in_bytes = int(tj.stage_in_bytes * cfg.data_scale)
-        out_bytes = int(tj.stage_out_bytes * cfg.data_scale)
+        in_bytes = int(tj.stage_in_bytes)
+        out_bytes = int(tj.stage_out_bytes)
         in_files = max(1, tj.stage_in_files) if in_bytes else 0
         out_files = max(1, tj.stage_out_files) if out_bytes else 0
         base = f"/replay/j{tj.job_id}"
@@ -492,7 +467,7 @@ class TraceReplayer:
         # Generous limit: the trace's padded request scaled down, plus an
         # I/O allowance so staging-heavy jobs don't cascade TIMEOUTs.
         io_allowance = (in_bytes + out_bytes) / 500e6
-        limit = max(cfg.min_time_limit,
+        limit = max(MIN_TIME_LIMIT,
                     tj.time_limit() * cfg.runtime_scale + io_allowance)
         return JobSpec(
             name=f"t{tj.job_id}", nodes=nodes, user=f"user{tj.user}",
@@ -537,7 +512,7 @@ class TraceReplayer:
                 if tj.stage_out_bytes > 0 else ()
             self._ckpt_store.mark_complete(self._ckpt_key(tj), datasets)
         rec = self.ctld.accounting.get(job.job_id)
-        tau = self.config.bounded_slowdown_tau
+        tau = BOUNDED_SLOWDOWN_TAU
         wait = rec.wait_seconds if rec else None
         service = rec.total_seconds if rec else None
         response = None
@@ -568,7 +543,7 @@ class TraceReplayer:
             # NVM production counted only for jobs that actually ran
             # their produce phase to completion (same arithmetic as the
             # produce_files phase in _spec).
-            out_bytes = int(tj.stage_out_bytes * self.config.data_scale)
+            out_bytes = int(tj.stage_out_bytes)
             out_files = max(1, tj.stage_out_files)
             nodes = len(job.allocated_nodes) or 1
             per_file = max(1, out_bytes // (out_files * nodes))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import ReproError, SimulationEnded
-from repro.slurm.job import JobSpec, StageDirective
+from repro.slurm.job import MIN_TIME_LIMIT, JobSpec, StageDirective
 from repro.sim.primitives import all_of
 from repro.util.tables import render_table
 from repro.workflows.checkpoint import CheckpointStore, checkpointed_compute
@@ -63,8 +63,6 @@ class PipelineConfig:
     data_nsid: str = "nvme0://"
     #: shared dataspace holding stage outputs and checkpoint artifacts.
     pfs_nsid: str = "lustre://"
-    #: floor on derived per-stage time limits (seconds).
-    min_time_limit: float = 600.0
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 0 or self.checkpoint_bytes < 0:
@@ -243,7 +241,7 @@ class PipelineEngine:
                                               f"{s.name}:"))
         io_bytes = s.out_bytes + sum(
             self.pipeline.stage(d).out_bytes for d in s.deps)
-        limit = max(cfg.min_time_limit,
+        limit = max(MIN_TIME_LIMIT,
                     s.runtime * 4.0 + io_bytes / 100e6)
         return JobSpec(
             name=f"{self.pipeline.name}:{s.name}", nodes=s.nodes,

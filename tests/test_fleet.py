@@ -359,6 +359,14 @@ class TestSweepCli:
          "duplicate --axis 'policy'"),
         (["--axis", "policy=fifo", "--workload", "nope"],
          "unknown --workload 'nope'"),
+        # A cluster spec carries neither a policy nor a fault plan: the
+        # policy and fault_profile axes choose them.
+        (["--axis", "spec.fault_profile=chaos,none",
+          "--preset", "small_test", "--nodes", "4", "--jobs", "12"],
+         "sweep failed: bad spec override: "),
+        (["--axis", "spec.scheduler_policy=fifo,backfill",
+          "--preset", "small_test", "--nodes", "4", "--jobs", "12"],
+         "sweep failed: bad spec override: "),
     ])
     def test_sweep_option_errors_are_one_line(self, capsys, argv, text):
         assert cli_main(["sweep", *argv]) == 2

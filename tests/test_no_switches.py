@@ -11,10 +11,14 @@ frame path; the oracles they are checked against live under
 * ``src/`` reads no environment variable at all, so no new switch can
   appear unnoticed;
 * every repository path a ``src/`` module names (an oracle, the test
-  that compares against it, a sibling module) exists.
+  that compares against it, a sibling module) exists;
+* the run configs' fields and the command-line presets' parameters are
+  pinned, so a new option is an edit to this file.
 """
 
 import ast
+import dataclasses
+import inspect
 import os
 import pathlib
 import re
@@ -47,6 +51,30 @@ sys.stdout.write(policy_replay.replay(policy_replay.golden_trace()).to_text())
 #: The modules of ``src/`` that touch ``os.environ`` / ``os.getenv``:
 #: none.  (The fleet's crash tests inject their fault from the test.)
 ENV_READERS = set()
+
+#: The settable fields of the four run configs.  A run's policy and
+#: fault plan are not among the cluster's: each command chooses them.
+RUN_CONFIG_FIELDS = {
+    "ClusterSpec": ("name", "nodes", "fabric_core_bandwidth",
+                    "fabric_base_latency", "na_plugin", "pfs", "pfs_nsid",
+                    "pfs_mount", "urd_workers", "resilience"),
+    "SlurmConfig": ("staging_enabled", "data_aware_placement",
+                    "age_weight", "policy", "max_requeues",
+                    "requeue_on_failure"),
+    "ReplayConfig": ("time_compression", "batch_window", "runtime_scale",
+                     "clip_nodes", "scheduler", "fault_plan",
+                     "checkpoint_interval", "checkpoint_bytes"),
+    "PipelineConfig": ("checkpoint_interval", "checkpoint_bytes",
+                       "max_rounds", "stage_max_requeues", "data_nsid",
+                       "pfs_nsid"),
+}
+
+#: The parameters of the presets ``--preset`` names.
+PRESET_PARAMETERS = {
+    "replay_scale": ("n_nodes", "workers"),
+    "nextgenio": ("n_nodes", "track_nvme", "workers"),
+    "small_test": ("n_nodes",),
+}
 
 #: A repository path in a docstring or comment: ``dir/name.ext``, or a
 #: bare ``NAME.md``.
@@ -96,3 +124,21 @@ def test_src_names_no_missing_path():
                        for base in (ROOT, SRC, SRC / "repro")):
                 missing.append(f"{name}: {ref}")
     assert missing == []
+
+
+def test_run_config_fields_are_pinned():
+    from repro.cluster.spec import ClusterSpec
+    from repro.slurm.slurmctld import SlurmConfig
+    from repro.traces import ReplayConfig
+    from repro.workflows import PipelineConfig
+    found = {cls.__name__: tuple(f.name for f in dataclasses.fields(cls))
+             for cls in (ClusterSpec, SlurmConfig, ReplayConfig,
+                         PipelineConfig)}
+    assert found == RUN_CONFIG_FIELDS
+
+
+def test_preset_parameters_are_pinned():
+    from repro.cluster.presets import PRESETS
+    found = {name: tuple(inspect.signature(preset).parameters)
+             for name, preset in PRESETS.items()}
+    assert found == PRESET_PARAMETERS

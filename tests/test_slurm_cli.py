@@ -1,11 +1,15 @@
 """Tests for the squeue/sacct/sworkflow/sinfo front ends + replay CLI."""
 
+import pathlib
+
 import pytest
 
 from repro.slurm import JobSpec
 from repro.slurm.cli import main, sacct, sinfo, squeue, sworkflow
 
 from tests.conftest import build_slurm_cluster
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def compute(seconds):
@@ -136,6 +140,72 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "phase1" in out
+
+
+#: Batch scripts for the pinned ``run`` outputs: a full-width job, a
+#: one-node job and a two-job workflow, two of them with stage-out.
+SCRIPTS = {
+    "a.sbatch": "#SBATCH --job-name=wide\n#SBATCH --nodes=4\n"
+                "#SBATCH --time=00:30:00\n"
+                "#NORNS stage_out nvme0://out/ lustre://res/wide/ gather\n",
+    "b.sbatch": "#SBATCH --job-name=small\n#SBATCH --nodes=1\n"
+                "#SBATCH --time=00:05:00\n",
+    "c.sbatch": "#SBATCH --job-name=pipe0\n#SBATCH --nodes=2\n"
+                "#SBATCH --workflow-start\n"
+                "#NORNS stage_out nvme0://o/ lustre://res/p/ gather\n",
+    "d.sbatch": "#SBATCH --job-name=pipe1\n#SBATCH --nodes=2\n"
+                "#SBATCH --workflow-prior-dependency=1002\n"
+                "#SBATCH --workflow-end\n",
+}
+
+#: A crash, a drain and a daemon restart while the scripts above run.
+PLAN = (
+    '{"t": 0.00001, "kind": "node_crash", "node": "cn3", "duration": 5.0}\n'
+    '{"t": 0.00002, "kind": "node_drain", "node": "cn1", "duration": 10.0}\n'
+    '{"t": 0.00003, "kind": "urd_restart", "node": "cn0", "duration": 2.0}\n')
+
+
+class TestPinnedOutput:
+    """The stdout of ``run`` and ``workflows``, byte for byte: the
+    scheduling policy and the fault plan reach the cluster the same
+    way whichever command sets them up."""
+
+    def scripts(self, tmp_path):
+        for name, text in SCRIPTS.items():
+            (tmp_path / name).write_text(text)
+        return [str(tmp_path / name) for name in sorted(SCRIPTS)]
+
+    def pinned(self, argv, golden, capsys):
+        rc = main(argv)
+        assert capsys.readouterr().out == (DATA / golden).read_text()
+        return rc
+
+    def test_run_with_scheduler(self, tmp_path, capsys):
+        argv = ["run", *self.scripts(tmp_path), "--preset", "small_test",
+                "--scheduler", "fifo"]
+        assert self.pinned(argv, "cli_run_fifo.txt", capsys) == 0
+
+    def test_run_with_fault_plan(self, tmp_path, capsys):
+        plan = tmp_path / "plan.jsonl"
+        plan.write_text(PLAN)
+        argv = ["run", *self.scripts(tmp_path), "--preset", "small_test",
+                "--faults", str(plan)]
+        assert self.pinned(argv, "cli_run_faults.txt", capsys) == 0
+
+    def test_workflows_with_fault_profile(self, capsys):
+        argv = ["workflows", "--pipeline", "diamond",
+                "--fault-profile", "chaos", "--seed", "0"]
+        assert self.pinned(argv, "cli_workflows_chaos.txt", capsys) == 0
+
+    def test_workflows_with_empty_plan_prints_no_resilience(self, capsys):
+        # A plan with no records changes nothing, as for replay: no
+        # requeue-on-failure, no resilience table.
+        rc = main(["workflows", "--preset", "small_test",
+                   "--fault-profile", "none"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "resilience" not in out
+        assert out.startswith("pipeline run\n")
 
 
 class TestErrorBoundary:

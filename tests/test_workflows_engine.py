@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.cluster import build, small_test
-from repro.faults import FaultInjector, FaultPlan, FaultRecord
+from repro.faults import FaultPlan, FaultRecord, arm_plan
 from repro.traces import ReplayConfig, Trace, TraceJob, TraceReplayer
 from repro.traces.records import STATUS_COMPLETED
 from repro.workflows import (
@@ -28,10 +28,8 @@ def run_pipeline(pipeline, interval=0.0, handle=None, faults=(),
     handle = handle or fresh()
     injector = None
     if faults:
-        injector = FaultInjector(
+        injector = arm_plan(
             handle, FaultPlan(name="test", records=tuple(faults)))
-        handle.ctld.config.requeue_on_failure = True
-        injector.start()
     engine = PipelineEngine(
         handle, pipeline,
         PipelineConfig(checkpoint_interval=interval, **cfg_kw))
