@@ -65,8 +65,9 @@ def main() -> None:
     print(f"  makespan       {clean.makespan:9.0f}s -> "
           f"{faulted.makespan:.0f}s")
     print(f"  jobs requeued  {res.jobs_requeued}")
-    print(f"  tasks retried  {res.tasks_retried} "
-          f"(lost {res.tasks_lost})")
+    reg = faulted.registry
+    print(f"  tasks retried  {reg.total('urd.tasks_retried')} "
+          f"(lost {reg.total('urd.tasks_lost')})")
     print(f"  node downtime  {res.node_downtime:.0f} node-seconds "
           f"(MTTR {res.mttr:.1f}s)")
     print(f"  goodput        {res.goodput:.4f}")

@@ -138,10 +138,6 @@ class NoSpace(StorageError):
     """Device or dataspace capacity exhausted (ENOSPC)."""
 
 
-class BadFileDescriptor(StorageError):
-    """Operation on a closed or invalid handle (EBADF)."""
-
-
 class DataCorruption(StorageError):
     """Fingerprint mismatch detected on read-back of synthetic content."""
 
@@ -227,9 +223,14 @@ class InvalidDependency(SlurmError):
     """Workflow dependency references a missing job or forms a cycle."""
 
 
-class AllocationError(SlurmError):
-    """Requested resources can never be satisfied by the partition."""
-
-
 class StagingFailure(SlurmError):
-    """A stage-in/stage-out operation failed or timed out."""
+    """A stage-in/stage-out operation failed or timed out.
+
+    ``permanent`` marks a failure found before any copy started (a
+    missing source, nothing to stage, a persist ACL denial): retrying
+    cannot help, so the job fails at once instead of being requeued.
+    """
+
+    def __init__(self, message: str, permanent: bool = False) -> None:
+        super().__init__(message)
+        self.permanent = permanent

@@ -181,21 +181,26 @@ def execute_run(spec: RunSpec) -> RunResult:
     }
     info: Dict[str, str] = {}
     res = report.resilience
+    reg = report.registry
     if res is not None:
+        total = reg.total
         metrics["faults_injected"] = float(res.faults_injected)
         metrics["jobs_requeued"] = float(res.jobs_requeued)
         metrics["jobs_failed"] = float(res.jobs_failed)
-        metrics["tasks_retried"] = float(res.tasks_retried)
-        metrics["tasks_lost"] = float(res.tasks_lost)
+        metrics["tasks_retried"] = float(total("urd.tasks_retried"))
+        metrics["tasks_lost"] = float(total("urd.tasks_lost"))
         metrics["node_downtime_seconds"] = res.node_downtime
         metrics["mttr_seconds"] = res.mttr
         metrics["resilience_goodput"] = res.goodput
-        metrics["rpc_retries"] = float(res.rpc_retries)
-        metrics["rpc_deadline_expired"] = float(res.rpc_deadline_expired)
-        metrics["breaker_opens"] = float(res.breaker_opens)
-        metrics["requests_shed"] = float(res.requests_shed)
-        metrics["heartbeat_misses"] = float(res.heartbeat_misses)
-        metrics["duplicates_suppressed"] = float(res.duplicates_suppressed)
+        metrics["rpc_retries"] = float(total("resilience.retries"))
+        metrics["rpc_deadline_expired"] = float(
+            total("resilience.deadline_expired"))
+        metrics["breaker_opens"] = float(total("resilience.breaker_opens"))
+        metrics["requests_shed"] = float(total("resilience.requests_shed"))
+        metrics["heartbeat_misses"] = float(
+            total("resilience.heartbeat_misses"))
+        metrics["duplicates_suppressed"] = float(
+            total("rpc.duplicates_suppressed"))
         info["fault_mix"] = ", ".join(
             f"{k}:{n}" for k, n in sorted(res.faults_by_kind.items()))
     ckpt = report.checkpoints
@@ -210,16 +215,17 @@ def execute_run(spec: RunSpec) -> RunResult:
                        metrics=metrics, info=info,
                        report_text=report.to_text(),
                        job_metrics=job_rows)
-    if report.kernel_stats is not None:
+    if reg is not None:
         # Deterministic kernel counters ride in runstats (kept out of
         # the merged FleetReport text, rendered by `sweep --perf`).
-        result.runstats["kernel"] = dict(report.kernel_stats)
+        from repro.obs.collect import kernel_stats
+        result.runstats["kernel"] = kernel_stats(reg)
     if tracer is not None:
         from repro.obs.export import metrics_jsonl, spans_jsonl
         tracer.close_open()
         result.spans_jsonl = spans_jsonl(tracer)
-        if report.registry is not None:
-            result.obs_metrics_jsonl = metrics_jsonl(report.registry)
+        if reg is not None:
+            result.obs_metrics_jsonl = metrics_jsonl(reg)
     return result
 
 

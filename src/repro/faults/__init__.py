@@ -12,10 +12,11 @@ reproduces the same failures — and the same recoveries — run after run.
 * :mod:`repro.faults.profiles` — named, seeded plan generators
   ("node-churn", "flaky-network", "chaos", ...).
 * :mod:`repro.faults.engine` — the injector and the
-  :class:`ResilienceStats` the replay report renders (requeues, lost /
-  retried staging work, downtime, MTTR, goodput); :func:`arm_plan` /
-  :func:`end_plan` are how every run (replay, ``run``, ``workflows``)
-  starts a plan and ends it.
+  :class:`ResilienceStats` it observes (fault mix, requeues, downtime,
+  MTTR, goodput); :func:`resilience_table` renders them beside the lost /
+  retried staging work and RPC counters of the run's metrics registry.
+  :func:`arm_plan` / :func:`end_plan` are how every run (replay,
+  ``run``, ``workflows``) starts a plan and ends it.
 
 A zero-fault plan schedules nothing and leaves every byte of every
 report unchanged — injection is free when idle.

@@ -13,7 +13,12 @@ deterministically: same plan + same cluster seed ⇒ identical outcomes,
 run after run.  Recovery is symmetric — every degradation restores the
 capacity captured when the fault fired, crashes reboot via
 ``slurmctld.restore_node`` — and every fire/recover pair feeds the
-:class:`ResilienceStats` the replay report renders.
+:class:`ResilienceStats` the replay report renders.  The stats hold only
+what the injector and accounting observe (faults, requeues, downtime,
+recoveries, goodput, invalidated checkpoints); the urd, RPC, breaker and
+slurmd counters the resilience table shows are read from the run's
+:class:`~repro.obs.MetricsRegistry`, which
+:func:`~repro.obs.collect_cluster` builds once at the end of the run.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.util.units import format_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.builder import ClusterHandle
+    from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ResilienceStats", "FaultInjector", "PARTITION_FLOOR",
            "arm_plan", "end_plan", "resilience_table"]
@@ -40,7 +46,8 @@ PARTITION_FLOOR = 1.0
 
 @dataclass
 class ResilienceStats:
-    """Aggregate outcome of a faulted run (the report's new tables)."""
+    """What the injector and accounting observe of a faulted run; the
+    subsystem counters its table shows come from the run's registry."""
 
     faults_injected: int = 0
     faults_by_kind: Dict[str, int] = field(default_factory=dict)
@@ -48,15 +55,6 @@ class ResilienceStats:
     jobs_requeued: int = 0
     #: jobs that ran out of requeue budget (terminal FAILED).
     jobs_failed: int = 0
-    #: urd task counters, summed over every node.
-    tasks_failed: int = 0
-    tasks_retried: int = 0
-    tasks_lost: int = 0
-    #: staging work redone: bytes of in-flight/queued tasks lost to
-    #: restarts plus bytes moved by corrupted (re-executed) transfers.
-    bytes_lost: int = 0
-    bytes_corrupted: int = 0
-    urd_restarts: int = 0
     #: node-seconds of down time (crash → restore), summed over nodes.
     node_downtime: float = 0.0
     #: per-recovery durations (crash reboots, degradation windows).
@@ -67,22 +65,6 @@ class ResilienceStats:
     #: checkpoint artifacts destroyed by transfer corruption (only
     #: non-zero when a CheckpointStore is attached to the controller).
     checkpoints_invalidated: int = 0
-    # -- RPC resilience layer (repro.resilience), summed over nodes;
-    # -- all zero when the layer is absent or never armed.
-    rpc_calls: int = 0
-    rpc_retries: int = 0
-    rpc_deadline_expired: int = 0
-    breaker_fastfail: int = 0
-    breaker_opens: int = 0
-    breaker_half_opens: int = 0
-    breaker_closes: int = 0
-    requests_shed: int = 0
-    heartbeat_probes: int = 0
-    heartbeat_misses: int = 0
-    duplicates_suppressed: int = 0
-    client_busy_retries: int = 0
-    #: completed resilient-call latencies (report shows the tail).
-    rpc_latencies: List[float] = field(default_factory=list)
 
     @property
     def mttr(self) -> float:
@@ -91,8 +73,11 @@ class ResilienceStats:
             return 0.0
         return sum(self.recoveries) / len(self.recoveries)
 
-    def rows(self) -> List[tuple]:
-        """(metric, value) rows for the report's resilience table."""
+    def rows(self, reg: "MetricsRegistry") -> List[tuple]:
+        """(metric, value) rows for the report's resilience table; urd,
+        RPC and breaker totals are read from the run's registry
+        (:func:`repro.obs.collect_cluster`)."""
+        total = reg.total
         kinds = ", ".join(f"{k}:{n}" for k, n in
                           sorted(self.faults_by_kind.items())) or "-"
         rows = [
@@ -100,13 +85,13 @@ class ResilienceStats:
             ("fault mix", kinds),
             ("jobs requeued", self.jobs_requeued),
             ("jobs failed", self.jobs_failed),
-            ("urd restarts", self.urd_restarts),
-            ("urd tasks failed", self.tasks_failed),
-            ("urd tasks retried", self.tasks_retried),
-            ("urd tasks lost", self.tasks_lost),
-            ("staging bytes lost", format_bytes(self.bytes_lost)),
+            ("urd restarts", total("urd.restarts")),
+            ("urd tasks failed", total("urd.tasks_failed")),
+            ("urd tasks retried", total("urd.tasks_retried")),
+            ("urd tasks lost", total("urd.tasks_lost")),
+            ("staging bytes lost", format_bytes(total("urd.bytes_lost"))),
             ("staging bytes corrupted",
-             format_bytes(self.bytes_corrupted)),
+             format_bytes(total("urd.bytes_corrupted"))),
             ("node downtime s", f"{self.node_downtime:.3f}"),
             ("MTTR s", f"{self.mttr:.3f}"),
             ("goodput", f"{self.goodput:.4f}"),
@@ -114,24 +99,32 @@ class ResilienceStats:
              if self.checkpoints_invalidated else [])
         # Resilience-layer rows only appear once the layer saw traffic,
         # so reports from clusters without it are unchanged.
-        if self.rpc_calls or self.heartbeat_probes or self.requests_shed:
+        calls = total("resilience.calls")
+        probes = total("resilience.heartbeat_probes")
+        shed = total("resilience.requests_shed")
+        if calls or probes or shed:
             rows += [
-                ("rpc calls", self.rpc_calls),
-                ("rpc retries", self.rpc_retries),
-                ("rpc deadlines blown", self.rpc_deadline_expired),
-                ("breaker fast-fails", self.breaker_fastfail),
+                ("rpc calls", calls),
+                ("rpc retries", total("resilience.retries")),
+                ("rpc deadlines blown",
+                 total("resilience.deadline_expired")),
+                ("breaker fast-fails", total("resilience.breaker_fastfail")),
                 ("breaker open/half-open/close",
-                 f"{self.breaker_opens}/{self.breaker_half_opens}"
-                 f"/{self.breaker_closes}"),
-                ("requests shed", self.requests_shed),
-                ("client busy backoffs", self.client_busy_retries),
-                ("heartbeat probes", self.heartbeat_probes),
-                ("heartbeat misses", self.heartbeat_misses),
-                ("rpc duplicates suppressed", self.duplicates_suppressed),
+                 f"{total('resilience.breaker_opens')}"
+                 f"/{total('resilience.breaker_half_opens')}"
+                 f"/{total('resilience.breaker_closes')}"),
+                ("requests shed", shed),
+                ("client busy backoffs", total("slurmd.busy_retries")),
+                ("heartbeat probes", probes),
+                ("heartbeat misses", total("resilience.heartbeat_misses")),
+                ("rpc duplicates suppressed",
+                 total("rpc.duplicates_suppressed")),
             ]
-            if self.rpc_latencies:
+            hist = [inst for inst in reg
+                    if inst.name == "resilience.latency_seconds"]
+            if hist and hist[0].samples:
                 from repro.util.stats import summarize
-                lat = summarize(self.rpc_latencies)
+                lat = summarize(hist[0].samples)
                 rows.append(("rpc latency p95/max s",
                              f"{lat.p95:.6f}/{lat.max:.6f}"))
         return rows
@@ -369,42 +362,12 @@ class FaultInjector:
     # -- aggregation -------------------------------------------------------
     def finalize(self, completed_jobs: int = 0,
                  total_jobs: int = 0) -> ResilienceStats:
-        """Fold the cluster's counters into the stats (run finished)."""
+        """Fold requeue accounting, trailing downtime and goodput into
+        the stats (run finished)."""
         stats = self.stats
-        ctld = self.handle.ctld
-        stats.jobs_requeued = sum(r.requeues
-                                  for r in ctld.accounting.records())
-        stats.jobs_failed = sum(
-            1 for r in ctld.accounting.records() if r.fault_failed)
-        for name in sorted(self.handle.nodes):
-            node = self.handle.nodes[name]
-            urd = node.urd
-            stats.tasks_failed += urd.tasks_failed
-            stats.tasks_retried += urd.tasks_retried
-            stats.tasks_lost += urd.tasks_lost
-            stats.bytes_lost += urd.bytes_lost
-            stats.bytes_corrupted += urd.bytes_corrupted
-            stats.urd_restarts += urd.restarts
-            stats.client_busy_retries += getattr(node.slurmd,
-                                                 "busy_retries", 0)
-            if urd.endpoint is not None:
-                stats.duplicates_suppressed += \
-                    urd.endpoint.duplicates_suppressed
-            res = urd.resilience
-            if res is not None:
-                c = res.counters
-                stats.rpc_calls += c.calls
-                stats.rpc_retries += c.retries
-                stats.rpc_deadline_expired += c.deadline_expired
-                stats.breaker_fastfail += c.breaker_fastfail
-                stats.requests_shed += c.requests_shed
-                stats.heartbeat_probes += c.heartbeat_probes
-                stats.heartbeat_misses += c.heartbeat_misses
-                stats.rpc_latencies.extend(c.latencies)
-                for br in res.breakers().values():
-                    stats.breaker_opens += br.opens
-                    stats.breaker_half_opens += br.half_opens
-                    stats.breaker_closes += br.closes
+        records = self.handle.ctld.accounting.records()
+        stats.jobs_requeued = sum(r.requeues for r in records)
+        stats.jobs_failed = sum(1 for r in records if r.fault_failed)
         # Any node still down when the run ends counts downtime to now.
         for node, crashed in sorted(self._crashed_at.items()):
             stats.node_downtime += self.sim.now - crashed
@@ -443,7 +406,8 @@ def end_plan(injector: Optional[FaultInjector], completed_jobs: int,
                              total_jobs=total_jobs)
 
 
-def resilience_table(stats: ResilienceStats) -> str:
-    """The report's resilience table."""
-    return render_table(("metric", "value"), stats.rows(),
+def resilience_table(stats: ResilienceStats,
+                     reg: "MetricsRegistry") -> str:
+    """The report's resilience table, over the run's registry."""
+    return render_table(("metric", "value"), stats.rows(reg),
                         title="resilience")

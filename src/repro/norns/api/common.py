@@ -1,8 +1,11 @@
-"""Shared client-side machinery: framing, error mapping, base client."""
+"""Shared client-side machinery: framing, error mapping, base client
+and the I/O-task calls both APIs make (Table I lists task management on
+both sides)."""
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import (
@@ -11,11 +14,14 @@ from repro.errors import (
     NornsNoPlugin, NornsNotRegistered, NornsTaskError, NornsTimeout,
 )
 from repro.net.sockets import Credentials, LocalSocketHub
+from repro.norns.resources import DataResource
+from repro.norns.task import TaskStats, TaskStatus, TaskType
 from repro.resilience import RetryPolicy
 from repro.wire import make_frame, open_frame
 from repro.wire import norns_proto as proto
 
-__all__ = ["ApiError", "raise_for_code", "BaseClient", "BUSY_BACKOFF"]
+__all__ = ["ApiError", "raise_for_code", "BaseClient", "BUSY_BACKOFF",
+           "ClientTask"]
 
 
 class ApiError(NornsError):
@@ -50,13 +56,40 @@ def raise_for_code(code: int, detail: str = "") -> None:
     raise exc_cls(detail or f"error code {code}")
 
 
+@dataclass(slots=True)
+class ClientTask:
+    """Client-side task handle (``norns_iotask_t``)."""
+
+    task_type: TaskType
+    src: Optional[DataResource]
+    dst: Optional[DataResource]
+    priority: int = 0
+    task_id: Optional[int] = None       # set by submit()
+    eta_seconds: float = 0.0            # daemon estimate at submission
+
+    @property
+    def submitted(self) -> bool:
+        return self.task_id is not None
+
+
+def _stats_from_response(resp: proto.TaskStatusResponse) -> TaskStats:
+    return TaskStats(status=TaskStatus(resp.status),
+                     error_code=resp.task_error,
+                     bytes_total=resp.bytes_total,
+                     bytes_moved=resp.bytes_moved)
+
+
 class BaseClient:
     """One synchronous connection to a urd socket.
 
     Methods are generators (simulation processes): ``yield from`` them
     or wrap with ``sim.process``.  A client issues one request at a time
-    over its channel, like the blocking C API.
+    over its channel, like the blocking C API.  Its I/O tasks carry the
+    client's ``pid`` and, on the control socket, the ``admin`` flag.
     """
+
+    #: submit administrative tasks (control API: no job validation).
+    _admin = False
 
     def __init__(self, sim, hub: LocalSocketHub, creds: Credentials,
                  socket_path: str, pid: int = 0) -> None:
@@ -155,3 +188,56 @@ class BaseClient:
     def ping(self):
         resp = yield from self._checked(proto.CommandRequest(command="ping"))
         return resp.detail
+
+    # -- norns_iotask_init ------------------------------------------------
+    @staticmethod
+    def iotask_init(task_type: TaskType, src: Optional[DataResource],
+                    dst: Optional[DataResource] = None,
+                    priority: int = 0) -> ClientTask:
+        """Build a task descriptor (pure client-side, no I/O)."""
+        return ClientTask(task_type=TaskType(task_type), src=src, dst=dst,
+                          priority=priority)
+
+    # -- norns_submit ---------------------------------------------------------
+    def submit(self, task: ClientTask):
+        """Submit asynchronously; fills ``task.task_id`` and ETA."""
+        if task.submitted:
+            raise NornsError(f"task {task.task_id} already submitted")
+        msg = proto.IotaskSubmitRequest(
+            task_type=int(task.task_type),
+            input=task.src.to_wire() if task.src else None,
+            output=task.dst.to_wire() if task.dst else None,
+            pid=self.pid, priority=task.priority, admin=self._admin)
+        resp = yield from self._checked(msg)
+        task.task_id = resp.task_id
+        task.eta_seconds = resp.eta_seconds
+        return task
+
+    # -- norns_wait -------------------------------------------------------------
+    def wait(self, task: ClientTask, timeout: Optional[float] = None):
+        """Block until the task completes (or ``timeout`` seconds pass).
+
+        Returns final :class:`TaskStats`; raises
+        :class:`~repro.errors.NornsTimeout` when the timeout fires first
+        (the task keeps running — poll again or wait more).
+
+        ``timeout=None`` waits forever; ``timeout=0`` is a
+        non-blocking poll (on the wire, "forever" is the negative
+        sentinel, so an explicit zero is *not* coerced to infinite).
+        """
+        if not task.submitted:
+            raise NornsError("wait() on an unsubmitted task")
+        msg = proto.IotaskWaitRequest(
+            task_id=task.task_id, pid=self.pid,
+            timeout_seconds=-1.0 if timeout is None else float(timeout))
+        resp = yield from self._checked(msg)
+        return _stats_from_response(resp)
+
+    # -- norns_error ---------------------------------------------------------------
+    def error(self, task: ClientTask):
+        """Non-blocking status/outcome query (``norns_error``)."""
+        if not task.submitted:
+            raise NornsError("error() on an unsubmitted task")
+        msg = proto.IotaskStatusRequest(task_id=task.task_id, pid=self.pid)
+        resp = yield from self._checked(msg)
+        return _stats_from_response(resp)

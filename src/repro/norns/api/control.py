@@ -9,21 +9,21 @@ issued before a job's processes even exist.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from repro.errors import NornsError
 from repro.net.sockets import Credentials, LocalSocketHub
 from repro.norns.api.common import BaseClient
-from repro.norns.api.user import ClientTask, _stats_from_response
-from repro.norns.resources import DataResource
-from repro.norns.task import TaskType
 from repro.wire import norns_proto as proto
 
 __all__ = ["NornsCtlClient"]
 
 
 class NornsCtlClient(BaseClient):
-    """Control-socket client (scheduler side)."""
+    """Control-socket client (scheduler side).  Its I/O tasks are
+    administrative (``admin=True``, ``pid=0``): stage-in/stage-out
+    transfers issued before the job's processes exist."""
+
+    _admin = True
 
     def __init__(self, sim, hub: LocalSocketHub, creds: Credentials,
                  socket_path: str = "/var/run/norns/urd.ctl.sock") -> None:
@@ -116,43 +116,3 @@ class NornsCtlClient(BaseClient):
     def remove_process(self, job_id: int, pid: int):
         yield from self._checked(proto.RemoveProcessRequest(
             job_id=job_id, pid=pid))
-
-    # -- administrative task management ------------------------------------------
-    @staticmethod
-    def iotask_init(task_type: TaskType, src: Optional[DataResource],
-                    dst: Optional[DataResource] = None,
-                    priority: int = 0) -> ClientTask:
-        return ClientTask(task_type=TaskType(task_type), src=src, dst=dst,
-                          priority=priority)
-
-    def submit(self, task: ClientTask):
-        """Submit an administrative I/O task (stage-in/out)."""
-        if task.submitted:
-            raise NornsError(f"task {task.task_id} already submitted")
-        msg = proto.IotaskSubmitRequest(
-            task_type=int(task.task_type),
-            input=task.src.to_wire() if task.src else None,
-            output=task.dst.to_wire() if task.dst else None,
-            pid=0, priority=task.priority, admin=True)
-        resp = yield from self._checked(msg)
-        task.task_id = resp.task_id
-        task.eta_seconds = resp.eta_seconds
-        return task
-
-    def wait(self, task: ClientTask, timeout: Optional[float] = None):
-        # None -> negative wire sentinel (wait forever); an explicit 0
-        # stays 0 and polls instead of blocking.
-        if not task.submitted:
-            raise NornsError("wait() on an unsubmitted task")
-        msg = proto.IotaskWaitRequest(
-            task_id=task.task_id, pid=0,
-            timeout_seconds=-1.0 if timeout is None else float(timeout))
-        resp = yield from self._checked(msg)
-        return _stats_from_response(resp)
-
-    def error(self, task: ClientTask):
-        if not task.submitted:
-            raise NornsError("error() on an unsubmitted task")
-        msg = proto.IotaskStatusRequest(task_id=task.task_id, pid=0)
-        resp = yield from self._checked(msg)
-        return _stats_from_response(resp)

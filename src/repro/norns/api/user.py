@@ -15,102 +15,22 @@ monitor and wait on I/O tasks — the Listing 2 workflow::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.errors import NornsError
 from repro.net.sockets import Credentials, LocalSocketHub
-from repro.norns.api.common import BaseClient, raise_for_code
-from repro.norns.resources import DataResource
-from repro.norns.task import TaskStats, TaskStatus, TaskType
+from repro.norns.api.common import BaseClient, ClientTask
 from repro.wire import norns_proto as proto
 
 __all__ = ["ClientTask", "NornsClient"]
 
 
-@dataclass(slots=True)
-class ClientTask:
-    """Client-side task handle (``norns_iotask_t``)."""
-
-    task_type: TaskType
-    src: Optional[DataResource]
-    dst: Optional[DataResource]
-    priority: int = 0
-    task_id: Optional[int] = None       # set by submit()
-    eta_seconds: float = 0.0            # daemon estimate at submission
-
-    @property
-    def submitted(self) -> bool:
-        return self.task_id is not None
-
-
-def _stats_from_response(resp: proto.TaskStatusResponse) -> TaskStats:
-    return TaskStats(status=TaskStatus(resp.status),
-                     error_code=resp.task_error,
-                     bytes_total=resp.bytes_total,
-                     bytes_moved=resp.bytes_moved)
-
-
 class NornsClient(BaseClient):
-    """User-socket client bound to one application process (pid)."""
+    """User-socket client bound to one application process (pid); the
+    I/O-task calls (``iotask_init``, ``submit``, ``wait``, ``error``)
+    come from :class:`BaseClient`."""
 
     def __init__(self, sim, hub: LocalSocketHub, creds: Credentials,
                  pid: int,
                  socket_path: str = "/var/run/norns/urd.usr.sock") -> None:
         super().__init__(sim, hub, creds, socket_path, pid=pid)
-
-    # -- norns_iotask_init ------------------------------------------------
-    @staticmethod
-    def iotask_init(task_type: TaskType, src: Optional[DataResource],
-                    dst: Optional[DataResource] = None,
-                    priority: int = 0) -> ClientTask:
-        """Build a task descriptor (pure client-side, no I/O)."""
-        return ClientTask(task_type=TaskType(task_type), src=src, dst=dst,
-                          priority=priority)
-
-    # -- norns_submit ---------------------------------------------------------
-    def submit(self, task: ClientTask):
-        """Submit asynchronously; fills ``task.task_id`` and ETA."""
-        if task.submitted:
-            raise NornsError(f"task {task.task_id} already submitted")
-        msg = proto.IotaskSubmitRequest(
-            task_type=int(task.task_type),
-            input=task.src.to_wire() if task.src else None,
-            output=task.dst.to_wire() if task.dst else None,
-            pid=self.pid, priority=task.priority, admin=False)
-        resp = yield from self._checked(msg)
-        task.task_id = resp.task_id
-        task.eta_seconds = resp.eta_seconds
-        return task
-
-    # -- norns_wait -------------------------------------------------------------
-    def wait(self, task: ClientTask, timeout: Optional[float] = None):
-        """Block until the task completes (or ``timeout`` seconds pass).
-
-        Returns final :class:`TaskStats`; raises
-        :class:`~repro.errors.NornsTimeout` when the timeout fires first
-        (the task keeps running — poll again or wait more).
-
-        ``timeout=None`` waits forever; ``timeout=0`` is a
-        non-blocking poll (on the wire, "forever" is the negative
-        sentinel, so an explicit zero is *not* coerced to infinite).
-        """
-        if not task.submitted:
-            raise NornsError("wait() on an unsubmitted task")
-        msg = proto.IotaskWaitRequest(
-            task_id=task.task_id, pid=self.pid,
-            timeout_seconds=-1.0 if timeout is None else float(timeout))
-        resp = yield from self._checked(msg)
-        return _stats_from_response(resp)
-
-    # -- norns_error ---------------------------------------------------------------
-    def error(self, task: ClientTask):
-        """Non-blocking status/outcome query (``norns_error``)."""
-        if not task.submitted:
-            raise NornsError("error() on an unsubmitted task")
-        msg = proto.IotaskStatusRequest(task_id=task.task_id, pid=self.pid)
-        resp = yield from self._checked(msg)
-        return _stats_from_response(resp)
 
     # -- norns_get_dataspace_info ------------------------------------------------
     def get_dataspace_info(self):

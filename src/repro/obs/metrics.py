@@ -123,6 +123,12 @@ class MetricsRegistry:
         for key in sorted(self._instruments):
             yield self._instruments[key]
 
+    def total(self, name: str) -> float:
+        """Sum of counter/gauge ``name`` over its label sets (0 when
+        absent)."""
+        return sum(inst.value for (n, _), inst in self._instruments.items()
+                   if n == name)
+
     def snapshot(self) -> List[dict]:
         """All instruments as plain dicts, sorted by (name, labels)."""
         return [inst.snapshot() for inst in self]

@@ -12,15 +12,14 @@ Public surface:
   awaitable primitives (``yield`` them from process generators).
 * :class:`~repro.sim.primitives.Timeout`, :func:`~repro.sim.primitives.all_of`,
   :func:`~repro.sim.primitives.any_of` — composition helpers.
-* :mod:`~repro.sim.resources` — SimPy-style ``Resource``/``Store``/
-  ``Container``.
+* :mod:`~repro.sim.resources` — SimPy-style ``Resource``/``Store``.
 * :mod:`~repro.sim.flows` — the max-min fair fluid-flow engine used for
   all bandwidth modelling.
 """
 
 from repro.sim.core import Event, Process, Simulator, TimeoutHandle
 from repro.sim.primitives import Timeout, all_of, any_of
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.flows import Flow, FlowScheduler, CapacityConstraint
 from repro.sim.rng import RngRegistry
 
@@ -33,7 +32,6 @@ __all__ = [
     "any_of",
     "Resource",
     "Store",
-    "Container",
     "Flow",
     "FlowScheduler",
     "CapacityConstraint",

@@ -786,7 +786,7 @@ class Simulator:
     def _post_now(self, event: Event, value: Any) -> None:
         """Trigger a pending event successfully at the current instant.
 
-        The resource layers (``Store``/``Resource``/``Container``) post
+        The resource layers (``Store``/``Resource``) post
         one of these per put/get/acquire/release, every process posts
         its boot event here, and Mercury posts RPC replies and guards;
         this skips the ``succeed()`` state checks, which is safe only

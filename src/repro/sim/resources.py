@@ -1,4 +1,4 @@
-"""SimPy-style shared resources: ``Resource``, ``Store``, ``Container``.
+"""SimPy-style shared resources: ``Resource`` and ``Store``.
 
 These model the *discrete* contention points of the system:
 
@@ -6,8 +6,6 @@ These model the *discrete* contention points of the system:
   CPU cores on a compute node).
 * :class:`Store` — a FIFO (optionally bounded, optionally prioritised)
   queue of Python objects (e.g. the urd task queue, socket mailboxes).
-* :class:`Container` — a scalar reservoir (e.g. dataspace capacity in
-  bytes).
 
 *Continuous* contention (bandwidth) is handled by :mod:`repro.sim.flows`.
 """
@@ -17,12 +15,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.errors import SimError
 from repro.sim.core import PENDING, Event, Simulator, _new_event
 
-__all__ = ["Resource", "Store", "Container"]
+__all__ = ["Resource", "Store"]
 
 
 class Resource:
@@ -250,80 +248,3 @@ class Store:
             self._do_put(item)
             self.sim._post_now(ev, None)
             self._wake_getter()
-
-
-class Container:
-    """A scalar reservoir supporting blocking ``get``/``put`` of amounts.
-
-    Used for byte-capacity accounting (dataspace quotas, burst-buffer
-    pools).  Waiters are served FIFO; a waiter is granted as soon as the
-    level allows when it reaches the queue head (no overtaking, which
-    keeps accounting deterministic).
-    """
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf"),
-                 init: float = 0.0, name: str = "") -> None:
-        if capacity <= 0:
-            raise SimError(f"capacity must be positive, got {capacity}")
-        if init < 0 or init > capacity:
-            raise SimError(f"init {init} outside [0, {capacity}]")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name or "container"
-        # Static labels, as in Store: puts/gets are per-transfer hot.
-        self._put_name = self.name + ":put"
-        self._get_name = self.name + ":get"
-        self._level = float(init)
-        self._getters: deque[tuple[Event, float]] = deque()
-        self._putters: deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimError(f"negative put {amount}")
-        ev = Event(self.sim, self._put_name)
-        self._putters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimError(f"negative get {amount}")
-        if amount > self.capacity:
-            raise SimError(f"get {amount} exceeds capacity {self.capacity}")
-        ev = Event(self.sim, self._get_name)
-        self._getters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        moved = True
-        while moved:
-            moved = False
-            while self._putters:
-                ev, amount = self._putters[0]
-                if ev.triggered:
-                    self._putters.popleft()
-                    continue
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    self.sim._post_now(ev, None)
-                    moved = True
-                else:
-                    break
-            while self._getters:
-                ev, amount = self._getters[0]
-                if ev.triggered:
-                    self._getters.popleft()
-                    continue
-                if amount <= self._level:
-                    self._getters.popleft()
-                    self._level -= amount
-                    self.sim._post_now(ev, None)
-                    moved = True
-                else:
-                    break

@@ -370,14 +370,15 @@ def _cmd_run(args) -> int:
               "(not enough serviceable nodes)")
     if args.drain:
         print(sinfo(ctld))
+    reg = _collect(handle)
     stats = end_plan(
         injector, total_jobs=len(jobs),
         completed_jobs=sum(1 for j in jobs if j.state.value == "completed"))
     if stats is not None:
-        print(resilience_table(stats))
+        print(resilience_table(stats, reg))
     if args.perf:
         from repro.obs import kernel_table
-        print(kernel_table(handle.sim.stats()))
+        print(kernel_table(reg))
     failed = [j for j in jobs if j.state.value != "completed"]
     for job in failed:
         print(f"job {job.job_id} ({job.spec.name}): {job.state.value}"
@@ -435,10 +436,11 @@ def _cmd_workflows(args) -> int:
                        max_rounds=args.max_rounds))
     report = engine.run()
     done = {s for rnd in report.rounds for s in rnd.completed}
+    reg = _collect(handle)
     stats = end_plan(injector, completed_jobs=len(done),
                      total_jobs=report.n_stages)
     if stats is not None:
-        print(resilience_table(stats))
+        print(resilience_table(stats, reg))
     print(report.to_text())
     return 0 if report.completed else 1
 
@@ -534,11 +536,14 @@ def _cmd_sweep(args) -> int:
         print(f"resumed {resumed} completed run(s) from {args.out}")
     print(report.to_text())
     if args.perf:
-        from repro.obs import kernel_table
+        from repro.obs import MetricsRegistry, collect_kernel_stats, \
+            kernel_table
         for result in report.results:
             kernel = result.runstats.get("kernel")
             if kernel:
-                print(kernel_table(kernel,
+                reg = MetricsRegistry()
+                collect_kernel_stats(reg, kernel)
+                print(kernel_table(reg,
                                    title=f"event kernel: {result.run_id}"))
     if args.out:
         print(f"artifacts under {args.out}/runs/ "
@@ -683,6 +688,13 @@ def _build_preset(args, policy: str = ""):
     if policy:
         handle.ctld.set_policy(policy)
     return handle
+
+
+def _collect(handle):
+    """The run's one metrics registry, collected at its end: the
+    resilience table and the ``--perf`` footer both read it."""
+    from repro.obs import MetricsRegistry, collect_cluster
+    return collect_cluster(MetricsRegistry(), handle)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

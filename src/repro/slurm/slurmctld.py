@@ -465,7 +465,8 @@ class Slurmctld:
 
     def _may_requeue_on_failure(self, job: Job) -> bool:
         """Transient staging/step failures requeue only when the
-        resilience mode is on (fault injection enables it)."""
+        resilience mode is on (fault injection enables it); a permanent
+        staging failure never does."""
         return self.config.requeue_on_failure \
             and job.requeues < self._requeue_budget(job)
 
@@ -565,7 +566,7 @@ class Slurmctld:
             except StagingFailure as exc:
                 job._phase_proc = None
                 rec.warnings.append(f"stage_in failed: {exc}")
-                if self._may_requeue_on_failure(job):
+                if not exc.permanent and self._may_requeue_on_failure(job):
                     yield from self._requeue(
                         job, f"stage-in failed: {exc}")
                     return

@@ -200,7 +200,8 @@ class StagingCoordinator:
         if ns.exists(prefix) and not ns.is_dir(prefix):
             return [(prefix, ns.lookup(prefix).size)]
         if not ns.is_dir(prefix):
-            raise StagingFailure(f"{nsid}{prefix}: no such file or directory")
+            raise StagingFailure(
+                f"{nsid}{prefix}: no such file or directory", permanent=True)
         return [(p, c.size) for p, c in ns.walk_files(prefix)]
 
     def _expand_local(self, node: str, nsid: str, prefix: str):
@@ -256,12 +257,12 @@ class StagingCoordinator:
                     self.persist.check_access(src_nsid, src_prefix,
                                               job.spec.user)
                 except SlurmError as exc:
-                    raise StagingFailure(str(exc)) from exc
+                    raise StagingFailure(str(exc), permanent=True) from exc
             files = self._expand_shared(nodes[0], src_nsid, src_prefix)
             if not files:
                 raise StagingFailure(
                     f"stage_in: nothing to stage under "
-                    f"{directive.origin}")
+                    f"{directive.origin}", permanent=True)
             targets = self._map_nodes(directive.mapping, nodes)
             for i, (path, size) in enumerate(files):
                 dst = _dest_path(path, src_prefix, dst_prefix)

@@ -229,6 +229,3 @@ class WorkflowManager:
             raise InvalidDependency(
                 "workflow-end requires a workflow-prior-dependency")
         return None
-
-    def workflow_of_job(self, job_id: int) -> Optional[Workflow]:
-        return self._job_to_wf.get(job_id)

@@ -140,13 +140,10 @@ class ReplayReport:
     #: zero-fault checkpointed reports stay byte-identical to the
     #: non-checkpointed layout.
     checkpoints: Optional[object] = None
-    #: event-kernel counters (:meth:`Simulator.stats`), captured at
-    #: finalize time.  Rendered only by ``to_text(perf=True)`` so the
-    #: golden replay layout stays byte-identical across kernels.
-    kernel_stats: Optional[Dict[str, object]] = None
     #: unified :class:`repro.obs.MetricsRegistry` built at finalize —
     #: kernel, scheduler, urd, RPC, resilience and flow counters under
-    #: canonical names.
+    #: canonical names.  The resilience table and the ``perf=True``
+    #: kernel footer read their counters from it.
     registry: Optional[object] = None
     metrics: List[JobMetric] = field(default_factory=list)
     state_counts: Dict[str, int] = field(default_factory=dict)
@@ -249,14 +246,14 @@ class ReplayReport:
         parts = [head, states, dist, totals]
         if self.resilience is not None:
             from repro.faults import resilience_table
-            parts.append(resilience_table(self.resilience))
+            parts.append(resilience_table(self.resilience, self.registry))
             if self.checkpoints is not None:
                 parts.append(render_table(("metric", "value"),
                                           self.checkpoints.rows(),
                                           title="checkpoints"))
-        if perf and self.kernel_stats is not None:
+        if perf and self.registry is not None:
             from repro.obs.collect import kernel_table
-            parts.append(kernel_table(self.kernel_stats))
+            parts.append(kernel_table(self.registry))
         return "\n\n".join(parts) + "\n"
 
     def __str__(self) -> str:
@@ -578,10 +575,9 @@ class TraceReplayer:
             moved = sum(r.bytes_staged_in for r in records if r) \
                 + self._produced_bytes
             report.nvm_capacity_turnover = moved / (nvm_capacity * n_nodes)
-        report.kernel_stats = self.sim.stats()
         # The unified metrics registry: every report format (replay
-        # text, fleet artifacts, experiment tables) renders subsystem
-        # counters from this one snapshot.
+        # text, resilience table, fleet artifacts, the perf footer)
+        # renders subsystem counters from this one snapshot.
         from repro.obs.collect import collect_cluster, collect_replay
         from repro.obs.metrics import MetricsRegistry
         reg = MetricsRegistry()

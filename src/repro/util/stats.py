@@ -35,13 +35,6 @@ class Summary:
             return float("inf")
         return self.max / self.min
 
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation (std/mean)."""
-        if self.mean == 0:
-            return float("nan")
-        return self.std / self.mean
-
     def __str__(self) -> str:
         return (f"n={self.n} mean={self.mean:.4g} median={self.median:.4g} "
                 f"min={self.min:.4g} max={self.max:.4g} spread={self.spread:.2f}x")

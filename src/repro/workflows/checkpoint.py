@@ -92,9 +92,6 @@ class CheckpointStore:
         return f"{self._dir(key)}/manifest"
 
     # -- epoch progress ---------------------------------------------------
-    def epoch_done(self, key: str, epoch: int) -> bool:
-        return self.ns.exists(self.epoch_marker(key, epoch))
-
     def resume_epoch(self, key: str) -> int:
         """First epoch still to run: consecutive markers from zero."""
         epoch = 0

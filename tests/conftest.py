@@ -149,3 +149,30 @@ def build_slurm_cluster(n_nodes: int = 4, config=None,
     }
     ctld = Slurmctld(c.sim, slurmds, config)
     return c, ctld
+
+
+def stage_in_through_urd_restart():
+    """A one-node staged job whose 8 GB stage-in is cut by a 1 s
+    ``urd_restart`` on its node under an armed plan; runs it to the end
+    and returns ``(handle, job)``.  The stage-in fails, the job is
+    requeued onto the same node while its urd is still down (slurmd
+    backs off ``ERR_AGAIN``), and the second attempt completes."""
+    from repro.cluster import build, small_test
+    from repro.faults import FaultPlan, FaultRecord, arm_plan
+    from repro.slurm.job import JobSpec, StageDirective
+
+    def program(ctx):
+        yield ctx.compute(1.0)
+
+    handle = build(small_test(2), seed=0)
+    handle.sim.run(handle.pfs.write(None, "/in/big.dat", 8 * GB,
+                                    token="seed"))
+    arm_plan(handle, FaultPlan(name="restart", records=(
+        FaultRecord(time=0.5, kind="urd_restart", target="cn0",
+                    duration=1.0),)))
+    job = handle.ctld.submit(JobSpec(
+        name="staged", nodes=1, nodelist=("cn0",), program=program,
+        stage_in=(StageDirective("stage_in", "lustre://in/",
+                                 "nvme0://in/", "single"),)))
+    handle.sim.run(job.done)
+    return handle, job

@@ -82,8 +82,8 @@ class TestZeroPerturbation:
         disabled = TraceReplayer(
             handle, trace, ReplayConfig(time_compression=4.0)).run()
         assert enabled.to_text() == disabled.to_text()
-        assert enabled.kernel_stats["events"] == \
-            disabled.kernel_stats["events"]
+        assert enabled.registry.total("kernel.events") == \
+            disabled.registry.total("kernel.events")
 
     def test_trace_is_reproducible(self):
         from repro.obs import chrome_trace, spans_jsonl

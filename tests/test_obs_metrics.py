@@ -77,6 +77,16 @@ class TestRegistryExport:
         rows = reg.rows(prefix="kernel.")
         assert rows == [("kernel.events", 100)]
 
+    def test_total_sums_label_sets(self, reg):
+        reg.counter("urd.tasks", node="cn0").inc(3)
+        reg.counter("urd.tasks", node="cn1").inc(4)
+        reg.counter("urd.tasks_lost", node="cn0").inc(9)
+        assert reg.total("urd.tasks") == 7
+
+    def test_total_of_absent_name_is_zero(self, reg):
+        assert reg.total("urd.tasks") == 0
+        assert len(reg) == 0       # reading creates nothing
+
     def test_rows_render_labels_and_histograms(self, reg):
         reg.counter("urd.tasks", node="cn0").inc(3)
         h = reg.histogram("lat")
@@ -110,3 +120,40 @@ class TestCollectors:
         assert "sched.passes" in names
         assert "urd.tasks_completed" in names
         assert "flow.completed" in names
+
+    def test_kernel_stats_round_trip(self, reg):
+        from repro.obs.collect import collect_kernel_stats, kernel_stats
+        stats = {"kernel": "fast", "events": 42, "pending": 3}
+        collect_kernel_stats(reg, stats)
+        assert kernel_stats(reg) == stats
+
+    def test_breaker_totals_match_breakers_on_chaos_replay(self):
+        from repro.cluster import build, small_test
+        from repro.faults import fault_profile
+        from repro.traces import (
+            ReplayConfig, SynthesisConfig, TraceReplayer, synthesize,
+        )
+        trace = synthesize(SynthesisConfig(n_jobs=40, mean_interarrival=5.0),
+                           seed=0)
+        handle = build(small_test(), seed=0)
+        plan = fault_profile("chaos", horizon=max(300.0, trace.duration),
+                             nodes=handle.node_names, seed=0)
+        report = TraceReplayer(handle, trace, ReplayConfig(
+            time_compression=4.0, fault_plan=plan)).run()
+        breakers = [br for name in handle.node_names
+                    for br in handle.nodes[name].urd.resilience
+                    .breakers().values()]
+        reg = report.registry
+        for field in ("opens", "half_opens", "closes"):
+            assert reg.total(f"resilience.breaker_{field}") == \
+                sum(getattr(br, field) for br in breakers)
+        assert reg.total("resilience.breaker_opens") > 0
+
+    def test_slurmd_busy_retries_sum_over_nodes(self):
+        from repro.obs import MetricsRegistry, collect_cluster
+        from tests.conftest import stage_in_through_urd_restart
+        handle, _job = stage_in_through_urd_restart()
+        reg = collect_cluster(MetricsRegistry(), handle)
+        per_node = [handle.nodes[name].slurmd.busy_retries
+                    for name in handle.node_names]
+        assert reg.total("slurmd.busy_retries") == sum(per_node) > 0

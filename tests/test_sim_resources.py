@@ -1,11 +1,11 @@
-"""Tests for Resource / Store / Container."""
+"""Tests for Resource / Store."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from repro.errors import SimError
-from repro.sim import Container, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 
 
 @pytest.fixture
@@ -213,62 +213,3 @@ class TestStoreFastPath:
         assert log == [("get", 0, "elsewhere"), ("put", 7), ("get", 1, 7)]
         assert left == []
         assert (log, left) == replay_store(ops, capacity=10**9)[:2]
-
-
-class TestContainer:
-    def test_basic_level_accounting(self, sim):
-        c = Container(sim, capacity=100, init=50)
-        c.get(20)
-        c.put(30)
-        sim.run(until=0)
-        assert c.level == 60
-
-    def test_get_blocks_until_enough(self, sim):
-        c = Container(sim, capacity=100, init=0)
-        got = []
-
-        def taker():
-            yield c.get(10)
-            got.append(sim.now)
-
-        def filler():
-            yield sim.timeout(2)
-            yield c.put(5)
-            yield sim.timeout(2)
-            yield c.put(5)
-
-        sim.process(taker())
-        sim.process(filler())
-        sim.run()
-        assert got == [4]
-
-    def test_put_blocks_at_capacity(self, sim):
-        c = Container(sim, capacity=10, init=10)
-        done = []
-
-        def putter():
-            yield c.put(5)
-            done.append(sim.now)
-
-        def drainer():
-            yield sim.timeout(7)
-            yield c.get(8)
-
-        sim.process(putter())
-        sim.process(drainer())
-        sim.run()
-        assert done == [7]
-        assert c.level == 7
-
-    def test_validation(self, sim):
-        with pytest.raises(SimError):
-            Container(sim, capacity=0)
-        with pytest.raises(SimError):
-            Container(sim, capacity=10, init=20)
-        c = Container(sim, capacity=10)
-        with pytest.raises(SimError):
-            c.get(-1)
-        with pytest.raises(SimError):
-            c.get(11)
-        with pytest.raises(SimError):
-            c.put(-1)

@@ -7,7 +7,7 @@ import pytest
 from repro.slurm import JobSpec
 from repro.slurm.cli import main, sacct, sinfo, squeue, sworkflow
 
-from tests.conftest import build_slurm_cluster
+from tests.conftest import build_slurm_cluster, stage_in_through_urd_restart
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -206,6 +206,36 @@ class TestPinnedOutput:
         assert rc == 0
         assert "resilience" not in out
         assert out.startswith("pipeline run\n")
+
+
+class TestStagingRequeue:
+    """Under an armed plan a stage-in that no retry can mend fails its
+    job at once; one lost to a daemon restart is still requeued."""
+
+    def test_missing_source_fails_without_requeue(self):
+        from repro.cluster import build, small_test
+        from repro.faults import arm_plan, parse_plan
+        handle = build(small_test(), seed=0)
+        arm_plan(handle, parse_plan(PLAN))
+        scripts = [SCRIPTS[name] for name in sorted(SCRIPTS)]
+        # pipe0 never writes nvme0://o/, so lustre://res/p/ is absent.
+        scripts[-1] += "#NORNS stage_in lustre://res/p/ nvme0://i/ " \
+                       "replicate\n"
+        jobs = [handle.ctld.submit_script(text) for text in scripts]
+        handle.sim.run(handle.ctld.drain())
+        pipe1 = jobs[-1]
+        rec = handle.ctld.accounting.get(pipe1.job_id)
+        assert pipe1.state.value == "failed"
+        assert "no such file or directory" in pipe1.reason
+        assert pipe1.requeues == rec.requeues == 0
+        assert len(rec.warnings) == 1
+
+    def test_stage_in_lost_to_urd_restart_requeues(self):
+        handle, job = stage_in_through_urd_restart()
+        rec = handle.ctld.accounting.get(job.job_id)
+        assert job.state.value == "completed"
+        assert job.requeues == rec.requeues == 1
+        assert rec.warnings[0].startswith("stage_in failed: ")
 
 
 class TestErrorBoundary:

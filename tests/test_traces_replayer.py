@@ -171,8 +171,8 @@ class TestKernelStatsFooter:
     def test_perf_footer_is_opt_in(self):
         trace = small_synth(n_jobs=5, seed=3)
         _h, report = replay(trace)
-        assert report.kernel_stats is not None
-        assert report.kernel_stats["events"] > 0
+        assert report.registry is not None
+        assert report.registry.total("kernel.events") > 0
         plain = report.to_text()
         assert "event kernel" not in plain
         perf = report.to_text(perf=True)
