@@ -38,65 +38,35 @@ deadlines feed one lazily-cancelled ``flow:wake`` timeout (see
 progressive fill is slots on those same objects, not containers: the
 fill walks the adjacency in place, builds no index, and writes
 ``Flow.rate`` directly.  ``CapacityConstraint.load`` is derived from
-member rates on read.  Single-flow components (node-local NVM/DCPMM
-transfers, the common case) take a closed form and skip the fill.
+member rates on read.
 
 Every rate and deadline the fill produces is the same float the
 straightforward round loop would (a last-bit change moves a wake
-instant, and with it the event count), because the fill skips only
-work whose result is already known exactly:
+instant, and with it the event count): :meth:`FlowScheduler._fill`
+skips only work whose result is already known exactly, and says why
+for each skip; the former round loop is kept verbatim as a test oracle
+in ``tests/oracles/fill_previous.py``.  A fill of one flow or many runs
+one round loop, except for these special cases, each named with the
+workload that pays for it (bench seed 0):
 
-* a one-member constraint whose member has weight 1.0 has
-  ``used == level`` bit for bit (both start at 0.0 and add the same
-  ``delta`` each round), so it keeps no round state: with every weight
-  1.0, its candidate increment is ``cap - level``;
-* IEEE rounding is monotone, so the least such candidate is
-  ``min(cap) - level``, and a round's least ``remaining / level`` over
-  the flows it froze is ``min(remaining) / level``;
-* the saturation test ``cap - level <= 1e-9 * cap`` cannot hold once
-  ``cap > level * (1 + 4e-9)`` (``cap - level`` is then above 3.99e-9
-  of ``cap``, and ``1e-9 * cap`` is within 1e-16 of itself while it is
-  a normal float), so it runs only inside that window of the sorted
-  caps;
-* a constraint with no unfrozen member takes part in no later round;
-* a constraint that provably never binds takes part in no round at
-  all.  Each flow caches ``_ub``, the least of its ``rate_cap`` and the
-  capacities on its path, and no fill rate exceeds it (beyond
-  round-off): the constraint that sets it stays in the fill.  So with
-  ``U`` the largest ``_ub`` of a weight-1 component, a constraint with
-  ``n`` members and a finite ``cap >= _FOLD_MIN`` such that
-  ``n * U < cap * (1 - _PRUNE_MARGIN)`` neither saturates nor supplies
-  a round's least increment, and is pruned: in the bulk-transfer mesh
-  that is every NIC and the fabric core, where only the per-connection
-  caps bind.  The margin covers the saturation band (1e-9) plus the
-  round-off between the fill's running sums and the real rates, below
-  ``6 (R + 1) 2**-53`` after ``R`` rounds, for any component of fewer
-  than 1.5e9 flows.  Infinite capacities are never pruned, nor is any
-  constraint of a component with a weighted flow;
-* when, after the prune, each flow meets exactly one constraint or cap
-  that can bind (a *one-binder* fill), a flow freezes only with all the
-  members of its one binder, so no freeze changes another binder's
-  count.  Then all binders of one (capacity, member count) class start
-  from the same ``used`` and add the same ``delta * n`` each round: they
-  have the same candidate and the same saturation test in every round,
-  so the rounds run once per class, and each flow is touched once at
-  the end, taking the level of the round its class saturated.
-
-Each component keeps its *links* (constraints of one or two members)
-in a class table keyed by (capacity, member count) and its *hubs*
-(three or more) in one dict, plus the count of each per-flow bound
-``_ub`` among its flows, its count of weighted flows and its capped
-flows by ``rate_cap``.  Attach, detach, merge, split and
-``set_capacity`` keep these exact, so a weight-1 fill prunes and counts
-binders once per link class and once per hub, and a one-binder fill
-needs no pass over the flows before its rounds.  Links are many per
-component and change class only with their own flows; a hub's count
-changes with most changes of its component (a fabric core, a Lustre
-OST), so filing it by count would cost per change what testing it
-costs per fill.
-
-:meth:`FlowScheduler._fill` gives the details; the former round loop is
-kept verbatim as a test oracle in ``tests/oracles/fill_previous.py``.
+* constraints that provably never bind are pruned, tested once per
+  class of a table each component keeps exact (its *links*, of one or
+  two members, by (capacity, member count); its *hubs*, wider, one by
+  one; the count of each per-flow bound ``_ub``, of weighted flows, and
+  the capped flows by ``rate_cap``); when each flow then has exactly
+  one binder, the rounds run once per class (:func:`_one_binder_fill`):
+  ``transfer_mesh``, whose 7 167 fills all take them;
+* :meth:`FlowScheduler._rebuild`'s spanning-constraint shortcut:
+  ``transfer_mesh``, where removing it took Python calls from 1.02 M to
+  3.37 M;
+* the link/hub split (a hub's count changes with most changes of its
+  component, a fabric core or a Lustre OST, so it is tested per fill,
+  not filed by count): ``replay_staged``, where filing hubs by count
+  added 713 k calls and lost 6 of 6 timing pairs;
+* weighted flows, which keep a rate of their own each round and make
+  the fill walk every constraint in order, pruning none: Fig. 1
+  (``ParallelFileSystem.inject_load`` with ``width > 1``), which no
+  bench workload runs.
 
 This is the only flow engine.  The original global one — advance every
 flow and re-run progressive filling over the full flow set per change —
@@ -110,7 +80,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import operator
 import sys
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -122,13 +91,10 @@ __all__ = ["CapacityConstraint", "Flow", "FlowScheduler"]
 #: Tolerance for "this constraint is saturated" comparisons.
 _EPS = 1e-9
 
-#: :meth:`FlowScheduler._fill` folds a weight-1 one-member constraint
-#: into the fill level only above this capacity (``_EPS * cap`` is then
-#: a normal float, so its rounding is relative) ...
+#: The prune's lower bound: :meth:`FlowScheduler._fill` prunes no
+#: capacity below it (``_EPS * cap`` is a normal float from here up, so
+#: its rounding is relative, not absolute).
 _FOLD_MIN = sys.float_info.min / _EPS
-#: ... and runs its saturation test only while ``cap`` is within this
-#: factor of the level; beyond it the test cannot hold.
-_FOLD_WINDOW = 1.0 + 4 * _EPS
 #: A weight-1 fill prunes a finite constraint of at least ``_FOLD_MIN``
 #: whose ``n`` members could not fill it even at the component's largest
 #: per-flow bound ``U``: ``n * U < cap * _PRUNE_BELOW``.  The margin
@@ -139,8 +105,6 @@ _PRUNE_BELOW = 1.0 - _PRUNE_MARGIN
 #: A component files a constraint with at most this many members (a
 #: *link*) in its class table; a wider one (a *hub*) is its own class.
 _LINK_MAX = 2
-
-_first = operator.itemgetter(0)
 
 
 def _bound(rate_cap: Optional[float],
@@ -207,9 +171,10 @@ class CapacityConstraint:
         # fid order: the fill and ``load`` sum members in that order.
         self._flows: Dict["Flow", None] = {}
         self._component: Optional["_Component"] = None
-        # A frozen member decrements it even in a fill that pruned this
-        # constraint (and so never reads it).
+        # A frozen member decrements them even in a fill that pruned
+        # this constraint (and so never reads them).
         self._live_w = 0.0
+        self._live_n = 0
 
     @property
     def active_flows(self) -> int:
@@ -315,9 +280,8 @@ class _Component:
 
     :class:`FlowScheduler` keeps them exact as flows attach, detach and
     merge and as ``set_capacity`` moves a constraint and its members'
-    bounds; :meth:`classify` derives them for each part of a split, and
-    for a component assembled by hand (a fill that finds no ``ubs``
-    calls it; the engine tests check the upkeep before every fill).
+    bounds; :meth:`classify` derives them for each part of a split (and
+    for a component assembled by hand).
     """
 
     __slots__ = ("cid", "flows", "constraints", "classes", "hubs", "ubs",
@@ -397,9 +361,8 @@ class FlowScheduler:
 
     Incremental, component-partitioned engine: per membership change it
     advances and reallocates only the connected component of the
-    flow↔constraint graph that the change touches.  Single-flow
-    components resolve to a closed-form rate; multi-flow components run
-    weighted progressive filling in place (:meth:`_fill`).  One
+    flow↔constraint graph that the change touches, by weighted
+    progressive filling in place (:meth:`_fill`).  One
     lazily-cancelled wake timeout serves the earliest completion
     deadline across all components, so a change that does not move the
     earliest deadline leaves the event calendar untouched.
@@ -442,13 +405,19 @@ class FlowScheduler:
         A zero-size transfer completes at the current instant (after the
         event loop turn), which callers rely on for empty files.
         """
-        # Negated comparisons, so that NaN is refused too.
+        # Negated comparisons, so that NaN is refused too.  An infinite
+        # size never completes, and an infinite weight starves every
+        # co-member; an infinite ``rate_cap`` just means uncapped.
         if not size >= 0:
             raise SimError(f"negative transfer size {size}")
+        if size == math.inf:
+            raise SimError("transfer size must be finite, got inf")
         if rate_cap is not None and not rate_cap > 0:
             raise SimError(f"rate_cap must be positive, got {rate_cap}")
         if not weight > 0:
             raise SimError(f"weight must be positive, got {weight}")
+        if weight == math.inf:
+            raise SimError("weight must be finite, got inf")
         done = self.sim.event(name=f"flow:{label or 'transfer'}")
         flow = Flow(next(self._fid), size, tuple(constraints), rate_cap,
                     done, self.sim.now, label, weight)
@@ -831,33 +800,9 @@ class FlowScheduler:
             self._comps.pop(comp, None)
             return
         self.alloc_count += 1
-        now = comp.last_update
-        next_done = math.inf
-        if len(comp.flows) == 1:
-            # Closed-form single-flow shortcut (node-local transfers):
-            # the fair share is the tightest limit on the path.  The
-            # delta/weight round-trip mirrors the reference algorithm's
-            # arithmetic bit-for-bit.
-            self.flows_touched += 1
-            (f,) = comp.flows
-            w = f.weight
-            delta = math.inf
-            for c in f.constraints:
-                d = c.capacity / w
-                if d < delta:
-                    delta = d
-            if f.rate_cap is not None:
-                d = f.rate_cap / w
-                if d < delta:
-                    delta = d
-            rate = math.inf if math.isinf(delta) else delta * w
-            f.rate = rate
-            if rate > 0:
-                next_done = f.remaining / rate
-        else:
-            self.flows_touched += len(comp.flows)
-            next_done = self._fill(comp)
-        comp.deadline = now + next_done if not math.isinf(next_done) else math.inf
+        self.flows_touched += len(comp.flows)
+        # ``inf`` (nothing progresses) stays ``inf``.
+        comp.deadline = comp.last_update + self._fill(comp)
         comp.ver += 1
         if not math.isinf(comp.deadline):
             heapq.heappush(self._deadlines,
@@ -881,9 +826,10 @@ class FlowScheduler:
         member sets, writing ``Flow.rate`` directly; returns the time
         until the first member completes at those rates (``inf`` if
         none progresses).  Round state lives in scratch slots: per
-        constraint the bandwidth used, the weight sum of unfrozen
-        members and, when some weight is not 1.0, their exact count
-        (decremented as flows freeze, not re-summed every round).
+        constraint the bandwidth used, and the weight sum and exact
+        count of unfrozen members (decremented as flows freeze, not
+        re-summed every round).  A component of one flow takes the same
+        rounds as any other.
 
         Every float operation is the one the straightforward fill (a
         loop over all constraints per round, then a pass over all flows
@@ -899,24 +845,9 @@ class FlowScheduler:
           unfrozen weights and counts, so their decrements and the
           ``live`` rebuild are skipped (the fill starts every
           constraint it walks afresh).
-        * **One-member constraints ride the fill level.**  When every
-          flow of the component has weight 1.0, a constraint with one
-          member adds ``delta * 1.0`` to its ``used`` in exactly the
-          rounds in which ``level`` adds ``delta``, both from 0.0, so
-          ``used == level`` bit for bit and its candidate is
-          ``cap - level``.  IEEE rounding is monotone, so the smallest
-          candidate is ``min(cap) - level``: the first cap, in ascending
-          order, whose member is still unfrozen.  The saturation test
-          ``cap - level <= 1e-9 * cap`` cannot hold once ``cap`` exceeds
-          ``level * (1 + 4e-9)``: then ``cap - level`` is more than
-          3.99e-9 of ``cap`` (exactly, or within one rounding), while
-          ``1e-9 * cap`` rounds to within 1e-16 of itself as long as it
-          is a normal float (``cap >= _FOLD_MIN``).  So the test runs,
-          in ascending cap order, only up to that window.  Infinite,
-          NaN and sub-``_FOLD_MIN`` capacities stay in ``live``.
         * **Deadline from each round's frozen batch.**  Every weight-1
           flow frozen in a round takes ``rate = level``; dividing by
-          the same positive ``level`` is monotone too, so the batch's
+          the same positive ``level`` is monotone, so the batch's
           ``min(remaining) / level`` equals the least per-flow quotient.
           Weighted flows divide their own rate as they freeze.
         * **Constraints that can never bind are pruned** (weight-1
@@ -943,20 +874,19 @@ class FlowScheduler:
           Infinite capacities stay (``inf - used <= 1e-9 * inf`` holds:
           they freeze their members in round one), and so do those
           below ``_FOLD_MIN``, where subnormal round-off is absolute.  A
-          component with a weighted flow prunes nothing: rounded weight
-          decrements can overstate a constraint's live weight, and with
-          it ``used``, by more than any fixed margin.
+          component with a weighted flow (only Fig. 1's
+          ``inject_load(width > 1)`` makes one) prunes nothing: rounded
+          weight decrements can overstate a constraint's live weight,
+          and with it ``used``, by more than any fixed margin.
         * **Class table, no classification.**  The prune test and the
           binder count depend on a constraint only through its
           (capacity, member count) class, so a weight-1 fill applies
           them once per link class of ``comp.classes`` and once per
           hub of ``comp.hubs`` (each its own class), and takes ``U``
           from ``comp.ubs`` and the caps from ``comp.capped``: all kept
-          exact by the scheduler.  Order does not matter with every
-          weight 1.0 (counts are exact and both minimums are
-          order-free).  The folded one-member classes are sorted by
-          capacity; those below ``_FOLD_MIN`` and infinite ones go to
-          ``live``.
+          exact by the scheduler.  The unpruned classes feed the round
+          loop in table order, which does not matter with every weight
+          1.0 (counts are exact and every minimum is order-free).
         * **One binder per flow: rounds over classes.**  Call the
           constraints left after the prune, and the rate caps, binders;
           a flow with a finite ``_ub`` has at least one.  When the
@@ -969,24 +899,20 @@ class FlowScheduler:
           same ``delta * n`` each round, so all have the same candidate
           ``(cap - used) / n`` and the same saturation test in every
           round: :func:`_one_binder_fill` runs the rounds once per
-          class (a one-member class's ``used`` is ``level``, folded or
-          not), and a rate-cap class, keyed by ``rate_cap``, likewise
-          (a capped flow's own rate adds the same ``delta``, so it is
-          ``level`` too).  After the rounds each flow is touched once:
-          ``rate`` is the level of the round its class saturated, and
-          the deadline is each class's least ``remaining`` over that
-          level.  On the bulk-transfer mesh, where only the
-          per-connection caps bind, that is every fill.
+          class, and a rate-cap class, keyed by ``rate_cap``, likewise
+          (a capped flow's own rate adds the same ``delta`` as
+          ``level``, so it is ``level``).  After the rounds each flow
+          is touched once: ``rate`` is the level of the round its class
+          saturated, and the deadline is each class's least
+          ``remaining`` over that level.  It pays for itself on the
+          bulk-transfer mesh (``transfer_mesh``), where only the
+          per-connection caps bind: that is all of its fills.
         """
-        if not comp.ubs:
-            comp.classify()     # assembled by hand, not attached
         inf = math.inf
         flows = comp.flows
         live = []
-        ones = []
         own = []
-        fold = not comp.weighted
-        if fold:
+        if not comp.weighted:
             ub_max = max(comp.ubs)  # the largest per-flow bound ``_ub``
             below = _PRUNE_BELOW
             binds = 0           # (flow, binder) pairs
@@ -1010,21 +936,13 @@ class FlowScheduler:
             # it is never pruned): equal counts mean one per flow.
             if binds == len(flows) and ub_max < inf:
                 return _one_binder_fill(bound, comp.capped)
-            folded = []
-            for cap, n, members in bound:
-                if n == 1 and _FOLD_MIN <= cap < inf:
-                    folded.append((cap, members))
-                    continue
+            for _cap, n, members in bound:
                 lw = float(n)   # exact: every weight is 1.0
                 for c in members:
                     c._live_w = lw
+                    c._live_n = n
                     c._used = 0.0
                 live += members
-            folded.sort(key=_first)
-            for _cap, members in folded:
-                for c in members:
-                    c._live_w = 1.0
-                ones += members
             for f in flows:
                 f._frozen = False
                 if f.rate_cap is not None:
@@ -1052,20 +970,14 @@ class FlowScheduler:
                 if f.weight != 1.0:
                     for c in f.constraints:
                         c._live_w = 0.0     # summed exactly in round one
-        n_ones = len(ones)
-        top = 0                 # ones[:top] have frozen members
         level = 0.0
         left = len(flows)
-        next_done = math.inf
+        next_done = inf
         # Each round freezes at least one flow (or stops).
         while left:
             # delta is the uniform increment of the *normalized* rate
             # (rate/weight) of all unfrozen flows.
-            delta = math.inf
-            while top < n_ones and ones[top]._live_w <= 0.0:
-                top += 1
-            if top < n_ones:
-                delta = ones[top].capacity - level
+            delta = inf
             for c in live:
                 lw = c._live_w
                 if lw <= 0.0:
@@ -1087,9 +999,9 @@ class FlowScheduler:
                     d = (f.rate_cap - f.rate) / f.weight
                     if d < delta:
                         delta = d
-            if delta == math.inf:
+            if delta == inf:
                 # No constraint and no cap limits the rest: unbounded.
-                level = math.inf
+                level = inf
                 break
             if delta < 0.0:
                 delta = 0.0
@@ -1105,18 +1017,6 @@ class FlowScheduler:
                         if not f._frozen:
                             f._frozen = True
                             froze.append(f)
-            if top < n_ones:
-                window = level * _FOLD_WINDOW
-                for i in range(top, n_ones):
-                    c = ones[i]
-                    cap = c.capacity
-                    if cap > window:
-                        break
-                    if cap - level <= _EPS * cap:
-                        for f in c._flows:
-                            if not f._frozen:
-                                f._frozen = True
-                                froze.append(f)
             for f in own:
                 f.rate += delta * f.weight
                 cap = f.rate_cap
@@ -1127,48 +1027,35 @@ class FlowScheduler:
             if not froze:
                 # Numerical guard: nothing progressed; stop here.
                 break
-            least = math.inf
-            left -= len(froze)
-            if fold:
-                # Weight sums are exact counts: ``_live_w`` alone
-                # tracks the unfrozen members.
-                for f in froze:
+            least = inf
+            for f in froze:
+                if f.weight == 1.0:
                     f.rate = level
                     if f.remaining < least:
                         least = f.remaining
-                if left:
-                    for f in froze:
-                        for c in f.constraints:
-                            c._live_w -= 1.0
-                    live = [c for c in live if c._live_w > 0.0]
-            else:
-                for f in froze:
-                    if f.weight == 1.0:
-                        f.rate = level
-                        if f.remaining < least:
-                            least = f.remaining
-                    elif f.rate > 0:
-                        d = f.remaining / f.rate
-                        if d < next_done:
-                            next_done = d
-                if left:
-                    for f in froze:
-                        w = f.weight
-                        for c in f.constraints:
-                            c._live_w -= w
-                            c._live_n -= 1
-                    live = [c for c in live if c._live_n > 0]
+                elif f.rate > 0:
+                    d = f.remaining / f.rate
+                    if d < next_done:
+                        next_done = d
             if level > 0:
                 d = least / level
                 if d < next_done:
                     next_done = d
-            if own:
-                own = [f for f in own if not f._frozen]
+            left -= len(froze)
+            if left:
+                for f in froze:
+                    w = f.weight
+                    for c in f.constraints:
+                        c._live_w -= w
+                        c._live_n -= 1
+                live = [c for c in live if c._live_n > 0]
+                if own:
+                    own = [f for f in own if not f._frozen]
         if left:
             # Stopped early: unbounded, or left where the guard stopped.
             for f in flows:
                 if not f._frozen:
-                    if f.weight == 1.0 or level == math.inf:
+                    if f.weight == 1.0 or level == inf:
                         f.rate = level
                     if f.rate > 0:
                         d = f.remaining / f.rate

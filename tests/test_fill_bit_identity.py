@@ -1,12 +1,12 @@
 """The fast in-place fill equals its former form bit for bit.
 
 :meth:`FlowScheduler._fill` skips round work whose result is already
-known exactly: weight-1 one-member constraints ride the fill level,
-constraints with no unfrozen member leave the round loop, constraints
-that can never bind are pruned by the cached per-flow bound ``_ub``,
-a fill where each flow has one binder runs its rounds once per class
-of equal (capacity, member count), and the deadline comes from each
-round's frozen batch.  Every
+known exactly: constraints with no unfrozen member leave the round
+loop, constraints that can never bind are pruned by the cached per-flow
+bound ``_ub``, a fill where each flow has one binder runs its rounds
+once per class of equal (capacity, member count), and the deadline
+comes from each round's frozen batch.  Every other fill, of one flow or
+many, runs the same round loop as the former fill.  Every
 ``sim_digest`` and exact counter of the benchmark depends on each rate
 and deadline being the same float as before (a last-bit change moves a
 wake instant), so these tests compare with ``==`` against the verbatim
@@ -142,12 +142,21 @@ def mesh_cases(draw):
 class TestFillBitIdentity:
     @given(bipartite_with_remaining(st.sampled_from([1.0])))
     @settings(max_examples=150, deadline=None)
+    # One flow: only a rate cap; over an infinite capacity; over two
+    # equal capacities (two binders: the round loop); below _FOLD_MIN.
+    @example(([], [([], 2.0, 1.0)], [7.0]))
+    @example(([math.inf], [([0], None, 1.0)], [7.0]))
+    @example(([3.0, 3.0], [([0, 1], None, 1.0)], [7.0]))
+    @example(([_FOLD_MIN / 4], [([0], None, 1.0)], [7.0]))
     def test_weight_one_bipartite(self, case):
         assert_bit_identical(*case)
 
     @given(bipartite_with_remaining(st.one_of(st.just(1.0),
                                               st.floats(0.1, 10.0))))
     @settings(max_examples=150, deadline=None)
+    # One weighted flow, alone in its component.
+    @example(([5.0, 3.0], [([0, 1], 4.0, 2.5)], [7.0]))
+    @example(([5.0], [([0], None, 1e-3)], [7.0]))
     def test_float_weights_bipartite(self, case):
         assert_bit_identical(*case)
 
@@ -168,15 +177,15 @@ class TestFillBitIdentity:
         ([10.0, 1.0, 1.0, 1.0 + 1e-9, 1.0 - 1e-9],
          [([0, 1], None, 1.0), ([0, 2], None, 1.0),
           ([0, 3], None, 1.0), ([0, 4], None, 1.0)]),
-        # Capacities the fold leaves in the round loop: infinite, and
-        # below the floor where its window bound holds.
+        # Capacities the prune never drops: infinite, and below
+        # _FOLD_MIN where subnormal round-off is absolute.
         ([8.0, math.inf, _FOLD_MIN / 4, 5e-324, 3.0],
          [([0, 1], None, 1.0), ([0, 2], None, 1.0),
           ([0, 3], None, 1.0), ([0, 4], None, 1.0)]),
         ([math.inf, math.inf], [([0], None, 1.0), ([0, 1], None, 1.0)]),
         # Unbounded: nothing but infinite links, no caps.
         ([1e18, math.inf], [([0], None, 1.0), ([1], None, 1.0)]),
-        # Weighted component: one-member constraints stay in the loop.
+        # Weighted component: nothing is pruned.
         ([4.0, 1.0, 3.0], [([0, 1], None, 0.3), ([0, 2], None, 1.0),
                            ([0], None, 1.7)]),
         # A flow with no constraint but its cap.
@@ -421,9 +430,9 @@ def assert_classes_exact(comp):
 
 def checked(fill):
     """``fill`` behind a check that the scheduler kept the class table
-    and the per-flow tallies exact: an upkeep bug in attach, detach, merge or split fails here
-    instead of being repaired by the fill's fallback for hand-built
-    components."""
+    and the per-flow tallies exact: an upkeep bug in attach, detach,
+    merge or split fails here (the fill trusts them and re-derives
+    nothing)."""
     def run(comp):
         assert_classes_exact(comp)
         return fill(comp)

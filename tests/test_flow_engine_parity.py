@@ -176,6 +176,7 @@ def fill_in_place(caps, specs):
         for c in f.constraints:
             c._flows[f] = None
             comp.constraints[c] = None
+    comp.classify()
     FlowScheduler._fill(comp)
     return constraints, list(comp.flows)
 

@@ -47,7 +47,11 @@ def _kind(attr, cls):
 
 
 def junk_for(kind):
-    junk = st.sampled_from(_ANY_JUNK + _JUNK[kind])
+    any_junk = _ANY_JUNK
+    if kind == "deps":
+        # ``[]`` is the default ``deps`` (no fan-in), not junk.
+        any_junk = [j for j in _ANY_JUNK if j != []]
+    junk = st.sampled_from(any_junk + _JUNK[kind])
     if kind == "int":
         junk |= st.floats(-1e6, 1e6).filter(lambda f: not f.is_integer())
     return junk
