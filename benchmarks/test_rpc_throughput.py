@@ -3,10 +3,11 @@
 The serialization stack is the dominant per-request cost at replay
 scale: every simulated request used to round-trip real bytes — client
 ``encode_frame`` -> urd ``decode_frame`` -> urd ``encode_frame`` ->
-client ``decode_frame``.  PR 4 rebuilt that path twice over: compiled
-per-class codec plans (replacing per-field virtual dispatch) and lazy
-:class:`~repro.wire.frames.WireFrame` envelopes that skip
-serialization entirely unless a consumer touches raw bytes.
+client ``decode_frame``.  Lazy :class:`~repro.wire.frames.WireFrame`
+envelopes replaced that: a frame carries the validated message object,
+and nothing on the simulated path serializes it.  The ``bytes`` side
+below still runs the field-type codec of ``repro.wire.messages`` on
+every hop.
 
 Three benchmarks track the gain release over release, each on both
 frame paths (``fast`` = the lazy frames of ``repro.wire``, ``bytes`` =
@@ -15,8 +16,7 @@ real bytes on every hop, ``bytes_frames()`` from
 
 * **request churn** — the wire path of one request/response pair
   (message build, frame build, frame open, both directions) at volume;
-  this is the subsystem the PR rebuilt, and the ``fast``/``bytes``
-  ratio here is gated at >= 3x.
+  the ``fast``/``bytes`` ratio here is gated at >= 4.5x.
 * **local RPS** — fig4-style status-poll churn through a live urd
   (AF_UNIX channel, accept thread, dispatch, response).
 * **remote RPS** — fig5-style polls through Mercury ``norns.submit``
@@ -334,13 +334,17 @@ def test_fastpath_speedup_floors():
     of the two modes — identical pinned work counters — is
     ``test_work_counters_pinned``, which always runs.
 
-    The request-churn path (the rebuilt wire stack itself) is gated at
-    >= 3x (measured ~4.2x, best-of-N of both modes in one process so a
-    uniformly loaded runner cancels out).  The end-to-end local/remote
-    figures also carry the shared simulator cost per request (calendar
-    events, process resumes), so their floors leave generous noise
-    margin below the ~2.0x/~1.7x measured — the exact ratios land in
-    BENCH_rpc.json.
+    Each ratio is best-of-N of both modes in one process, so a
+    uniformly loaded runner cancels out.  The ``bytes`` side runs the
+    field-type codec on every hop and the ``fast`` side none, so the
+    request-churn ratio measures what lazy frames save.  Measured
+    (three runs on a 2-core x86 box) wire 13.6-14.9x, local 2.9-3.4x,
+    remote 3.0-3.5x.  The floors leave the fast path the slowdown
+    allowance it had when the ``bytes`` side ran a compiled codec
+    (9.1-9.9x, 2.8-3.1x, 2.5-2.7x against floors of 3 / 1.3 / 1.15):
+    about 3x on the wire path and 2.1x end to end, where the shared
+    simulator cost per request (calendar events, process resumes)
+    also counts.  The exact ratios land in BENCH_rpc.json.
     """
     churn_n = N_CHURN // 2
 
@@ -358,9 +362,9 @@ def test_fastpath_speedup_floors():
     remote_ratio = _best_of(remote, "fast") / _best_of(remote, "bytes")
     print(f"\n  speedup fast/bytes: wire {wire_ratio:.2f}x, "
           f"local {local_ratio:.2f}x, remote {remote_ratio:.2f}x")
-    assert wire_ratio >= 3.0, wire_ratio
-    assert local_ratio >= 1.3, local_ratio
-    assert remote_ratio >= 1.15, remote_ratio
+    assert wire_ratio >= 4.5, wire_ratio
+    assert local_ratio >= 1.35, local_ratio
+    assert remote_ratio >= 1.4, remote_ratio
 
 
 def test_slots_allocation_footprint():

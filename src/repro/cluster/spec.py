@@ -79,9 +79,3 @@ class ClusterSpec:
     #: — until a non-empty fault plan arms it, so leaving this on does
     #: not perturb clean runs.
     resilience: bool = True
-
-    def dataspace_ids(self) -> tuple[str, ...]:
-        ids = [d.dataspace_id for d in self.nodes.devices]
-        if self.pfs is not None:
-            ids.append(self.pfs_nsid)
-        return tuple(ids)

@@ -15,6 +15,7 @@ node down for good.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
@@ -51,8 +52,8 @@ def fault_profile(name: str, horizon: float, nodes: Sequence[str],
         known = ", ".join(sorted(_PROFILES))
         raise FaultError(f"unknown fault profile {name!r} "
                          f"(registered: {known})")
-    if horizon <= 0:
-        raise FaultError("profile horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise FaultError("profile horizon must be positive and finite")
     nodes = sorted(nodes)
     if not nodes:
         raise FaultError("profile needs at least one node")

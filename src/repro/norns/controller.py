@@ -17,7 +17,7 @@ processes — and implements the paper's three enforcement rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import (
     NornsAccessDenied, NornsBusyDataspace, NornsDataspaceExists,
@@ -138,9 +138,6 @@ class Controller:
 
     def jobs(self) -> list[JobRegistration]:
         return [self._jobs[k] for k in sorted(self._jobs)]
-
-    def job_of_pid(self, pid: int) -> Optional[int]:
-        return self._pid_to_job.get(pid)
 
     def visible_dataspaces(self, pid: int) -> list[Dataspace]:
         """Dataspaces the calling process may use (norns_get_dataspace_info)."""

@@ -17,8 +17,8 @@ One urd runs per compute node (Figure 3).  Internal components, kept
 * an **E.T.A. tracker** whose estimates are returned on submission so
   Slurm can time stage-ins and node releases.
 
-All request framing is real serialized bytes through
-:mod:`repro.wire`; all waiting is virtual time.
+Every request and response is a validated :mod:`repro.wire` message
+in a lazy frame (no bytes are built); all waiting is virtual time.
 """
 
 from __future__ import annotations

@@ -177,10 +177,6 @@ class CapacityConstraint:
         self._live_n = 0
 
     @property
-    def active_flows(self) -> int:
-        return len(self._flows)
-
-    @property
     def load(self) -> float:
         """Sum of current flow rates through this constraint (bytes/s)."""
         return sum([f.rate for f in self._flows], 0.0)
@@ -557,11 +553,6 @@ class FlowScheduler:
     @property
     def bytes_moved(self) -> float:
         return self._bytes_moved
-
-    @property
-    def component_count(self) -> int:
-        """Number of live contention components (diagnostics)."""
-        return len(self._comps)
 
     # -- component maintenance ------------------------------------------
     def _attach(self, flow: Flow) -> _Component:

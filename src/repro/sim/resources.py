@@ -42,14 +42,6 @@ class Resource:
         self._waiters: deque[Event] = deque()
         self._cancelled = 0  # triggered entries still parked in _waiters
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_len(self) -> int:
-        return len(self._waiters) - self._cancelled
-
     def request(self) -> Event:
         ev = Event(self.sim, self._request_name)
         if self._in_use < self.capacity:

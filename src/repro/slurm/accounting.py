@@ -85,7 +85,3 @@ class AccountingLog:
 
     def by_name(self, name: str) -> List[JobRecord]:
         return [r for r in self.records() if r.name == name]
-
-    def total_bytes_staged(self) -> int:
-        return sum(r.bytes_staged_in + r.bytes_staged_out
-                   for r in self._records.values())

@@ -48,6 +48,7 @@ goodput) to the output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional
 
@@ -200,19 +201,20 @@ def _replay(args, trace, traced=False, categories=None):
     it.  Returns the report and the tracer (None unless ``traced``)."""
     from repro.traces import ReplayConfig, TraceReplayer
 
+    # Validated before the fault horizon divides by the compression.
+    config = ReplayConfig(time_compression=args.compression,
+                          batch_window=args.batch_window,
+                          runtime_scale=args.runtime_scale,
+                          scheduler=args.scheduler,
+                          checkpoint_interval=args.checkpoint_interval,
+                          checkpoint_bytes=args.checkpoint_bytes)
     handle = _build_preset(args)
     tracer = handle.enable_tracing(categories) if traced else None
     plan = _resolve_fault_plan(
-        args, handle, horizon=max(60.0, trace.duration / args.compression))
-    replayer = TraceReplayer(
-        handle, trace,
-        ReplayConfig(time_compression=args.compression,
-                     batch_window=args.batch_window,
-                     runtime_scale=args.runtime_scale,
-                     scheduler=args.scheduler,
-                     checkpoint_interval=args.checkpoint_interval,
-                     checkpoint_bytes=args.checkpoint_bytes,
-                     fault_plan=plan))
+        args, handle,
+        horizon=max(60.0, trace.duration / config.time_compression))
+    replayer = TraceReplayer(handle, trace,
+                             dataclasses.replace(config, fault_plan=plan))
     report = replayer.run()
     if tracer is not None:
         tracer.close_open()
@@ -426,14 +428,13 @@ def _cmd_workflows(args) -> int:
         pipeline = diamond(runtime=args.runtime)
     else:
         pipeline = deep_chain(args.depth, runtime=args.runtime)
+    config = PipelineConfig(checkpoint_interval=args.checkpoint_interval,
+                            checkpoint_bytes=args.checkpoint_bytes,
+                            max_rounds=args.max_rounds)
     handle = _build_preset(args, policy=args.scheduler)
     injector = arm_plan(handle, _resolve_fault_plan(
         args, handle, horizon=max(300.0, 4 * pipeline.total_runtime)))
-    engine = PipelineEngine(
-        handle, pipeline,
-        PipelineConfig(checkpoint_interval=args.checkpoint_interval,
-                       checkpoint_bytes=args.checkpoint_bytes,
-                       max_rounds=args.max_rounds))
+    engine = PipelineEngine(handle, pipeline, config)
     report = engine.run()
     done = {s for rnd in report.rounds for s in rnd.completed}
     reg = _collect(handle)

@@ -108,9 +108,6 @@ class Workflow:
                     path.discard(jid)
                     seen.add(jid)
 
-    def dependencies_of(self, job_id: int) -> frozenset[int]:
-        return frozenset(self._deps.get(job_id, ()))
-
     def dependents_of(self, job_id: int) -> list[Job]:
         """Jobs that (transitively) depend on ``job_id``."""
         direct = {jid for jid, deps in self._deps.items() if job_id in deps}

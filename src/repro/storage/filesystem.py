@@ -199,9 +199,6 @@ class Namespace:
         del parent.entries[leaf]
         dparent.entries[dleaf] = entry
 
-    def listdir(self, path: str = "/") -> list[str]:
-        return sorted(self._resolve_dir(path).entries)
-
     # -- aggregate views ----------------------------------------------------
     def _iter_files(self, node: _Dir, prefix: str) -> Iterator[tuple[str, FileContent]]:
         for name, entry in sorted(node.entries.items()):

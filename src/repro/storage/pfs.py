@@ -23,7 +23,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.errors import NoSuchFile, SimError
+from repro.errors import SimError
 from repro.net.fabric import Fabric
 from repro.sim.core import Event, Simulator
 from repro.sim.flows import CapacityConstraint, FlowScheduler
@@ -66,12 +66,6 @@ class PfsConfig:
     @property
     def n_osts(self) -> int:
         return self.n_oss * self.osts_per_oss
-
-    @property
-    def peak_read_bandwidth(self) -> float:
-        return min(self.n_osts * self.ost_read_bandwidth,
-                   self.n_oss * self.oss_link_bandwidth,
-                   self.front_link_bandwidth)
 
     @property
     def peak_write_bandwidth(self) -> float:
@@ -155,13 +149,6 @@ class ParallelFileSystem:
             osts=tuple((start + k) % self.config.n_osts for k in range(count)))
         self._layouts[path] = layout
         return layout
-
-    def stripe_osts(self, path: str) -> tuple[int, ...]:
-        """OST indices a file is striped over (after first access)."""
-        layout = self._layouts.get(normalize(path))
-        if layout is None:
-            raise NoSuchFile(f"no layout for {path!r}")
-        return layout.osts
 
     # -- MDS ------------------------------------------------------------------
     def _mds_op(self):

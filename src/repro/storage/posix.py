@@ -167,12 +167,6 @@ class Mount:
             self._cache.evict(normalize(path))
         return content
 
-    def remove_tree(self, path: str) -> int:
-        """Recursive directory removal; returns bytes released."""
-        released = self.ns.rmdir(path, recursive=True)
-        self.device.release(released)
-        return released
-
     def exists(self, path: str) -> bool:
         return self.ns.exists(path)
 

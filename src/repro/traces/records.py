@@ -160,12 +160,6 @@ class Trace:
             return 0.0
         return sum(1 for j in self.jobs if j.is_staged) / len(self.jobs)
 
-    @property
-    def workflow_fraction(self) -> float:
-        if not self.jobs:
-            return 0.0
-        return sum(1 for j in self.jobs if j.in_workflow) / len(self.jobs)
-
     def sorted_jobs(self) -> List[TraceJob]:
         """Replay order: by submit time, job id breaking ties."""
         return sorted(self.jobs, key=lambda j: (j.submit_time, j.job_id))

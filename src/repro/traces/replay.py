@@ -79,12 +79,16 @@ class ReplayConfig:
     checkpoint_bytes: int = 0
 
     def __post_init__(self) -> None:
-        if self.time_compression <= 0:
-            raise ReproError("time_compression must be positive")
-        if self.batch_window < 0 or self.runtime_scale <= 0:
-            raise ReproError("bad replay config")
-        if self.checkpoint_interval < 0 or self.checkpoint_bytes < 0:
-            raise ReproError("checkpoint knobs must be non-negative")
+        # (chained against inf, so NaN fails every check too)
+        if not 0 < self.time_compression < math.inf:
+            raise ReproError("time_compression must be positive and finite")
+        if not 0 < self.runtime_scale < math.inf:
+            raise ReproError("runtime_scale must be positive and finite")
+        if not 0 <= self.batch_window < math.inf:
+            raise ReproError("batch_window must be finite and >= 0")
+        if not (0 <= self.checkpoint_interval < math.inf
+                and self.checkpoint_bytes >= 0):
+            raise ReproError("checkpoint knobs must be finite and >= 0")
         if self.scheduler:
             from repro.slurm.policies import available_policies
             names = {name for name, _ in available_policies()}

@@ -87,8 +87,12 @@ class SynthesisConfig:
         if self.chain_length < 2 or self.fanout < 1:
             raise ReproError("staged workflows need chain_length >= 2 "
                              "and fanout >= 1")
-        if self.mean_interarrival <= 0 or self.mean_runtime <= 0:
-            raise ReproError("interarrival and runtime means must be > 0")
+        # (chained against inf, so NaN fails too)
+        if not (0 < self.mean_interarrival < math.inf
+                and 0 < self.mean_runtime < math.inf
+                and 0 < self.stage_bytes_mean < math.inf):
+            raise ReproError("interarrival, runtime and stage-bytes means "
+                             "must be positive and finite")
 
     @property
     def jobs_per_workflow(self) -> int:

@@ -89,9 +89,6 @@ class OrderedNodeSet:
         self._ordered = [n for n in self._ordered if n in self._members]
         self._stale = 0
 
-    def issuperset(self, items: Iterable[str]) -> bool:
-        return all(item in self._members for item in items)
-
     def copy(self) -> "OrderedNodeSet":
         dup = OrderedNodeSet.__new__(OrderedNodeSet)
         dup._members = set(self._members)

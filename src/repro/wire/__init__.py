@@ -3,9 +3,11 @@
 The real NORNS serializes API↔daemon messages with Google Protocol
 Buffers over AF_UNIX sockets (Section IV-B).  We reimplement the wire
 format's core — LEB128 varints, zigzag, tag/wire-type framing, and
-length-delimited submessages — plus a declarative message layer, so the
-control path of this reproduction moves *real bytes* through a *real
-codec* rather than passing Python objects by reference.
+length-delimited submessages — plus a declarative message layer.  The
+simulated control path validates every message as a sender would, but
+moves it in a lazy frame (:mod:`repro.wire.frames`) that carries the
+object itself: no hop's timing depends on the payload bytes, so none
+are built unless a caller asks for them.
 """
 
 from repro.wire.varint import (

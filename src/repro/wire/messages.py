@@ -14,33 +14,33 @@ Instances carry plain attributes; ``encode()`` produces protobuf-
 compatible bytes for the declared scalar types, and ``decode()`` round-
 trips them, skipping unknown fields.
 
-The codec is a **compiled plan** built once at class-definition time:
-it flattens the ordered field list into per-field closures with
-precomputed tag bytes, a shared ``struct.Struct`` for doubles and
-direct varint appends into a single ``bytearray``.  ``encode()``,
-``decode()`` and the exact ``encoded_size()`` run on it, and message
-instances are ``__slots__``-only (no per-instance ``__dict__``).  The
-two methods every request runs, ``__init__`` and ``validate()``, are
-generated per class as straight-line source over the same closures.
+Each field type (:class:`FieldType`) encodes, decodes and validates one
+value, and its ``validate`` is the one sender-side check: a value it
+accepts encodes without error.  ``encode()`` and ``decode()`` walk the
+declared fields through those methods.  Messages cross the simulated
+transport as lazy frames (:mod:`repro.wire.frames`) that carry the
+object itself, so the codec runs only where bytes are asked for.
 
-This is the only codec.  The original interpretive one — per-field
-:class:`FieldType` virtual dispatch — is kept as a test oracle in
-``tests/oracles/wire_reference.py``; ``tests/test_wire_fuzz.py`` holds
-the compiled plan byte-identical to it on arbitrary and malformed
-messages.
+What every request does run is ``__init__`` and ``validate()``.  Both
+are generated per class as straight-line source over the declared
+fields, with an inline exact-type test per scalar field that sends only
+the values it cannot vouch for to the field type's ``validate``, and
+message instances are ``__slots__``-only (no per-instance ``__dict__``).
+
+``tests/oracles/wire_reference.py`` keeps an independent message-level
+walk; ``tests/test_wire_fuzz.py`` holds this codec byte-identical to it
+on arbitrary and malformed messages.
 """
 
 from __future__ import annotations
 
 import linecache
-import struct
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.errors import WireDecodeError, WireEncodeError
 from repro.wire import encoding as enc
 from repro.wire.varint import (
-    append_varint, decode_varint, decode_zigzag, encode_varint,
-    encode_zigzag, varint_size,
+    decode_varint, decode_zigzag, encode_varint, encode_zigzag,
 )
 
 __all__ = [
@@ -50,12 +50,14 @@ __all__ = [
 ]
 
 _U64_MASK = (1 << 64) - 1
-_VALID_WIRETYPES = enc._VALID_WIRETYPES
-_PACK_D = struct.Struct("<d").pack
 
 
 class FieldType:
-    """Encode/decode strategy for a single field value."""
+    """Encode/decode strategy for a single field value.
+
+    ``validate`` raises exactly the error an encode of the value would,
+    and ``encode`` takes only values it accepted.
+    """
 
     wire_type: int = enc.WIRETYPE_VARINT
     repeated = False
@@ -85,6 +87,8 @@ class _Uint64(FieldType):
     def validate(self, value: Any) -> None:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise WireEncodeError(f"uint64 field needs a non-negative int, got {value!r}")
+        if value > _U64_MASK:
+            raise WireEncodeError(f"varint overflow: {value} >= 2**64")
 
     def zero(self) -> int:
         return 0
@@ -102,6 +106,8 @@ class _Sint64(FieldType):
     def validate(self, value: Any) -> None:
         if not isinstance(value, int) or isinstance(value, bool):
             raise WireEncodeError(f"sint64 field needs an int, got {value!r}")
+        if not -(1 << 63) <= value < (1 << 63):
+            raise WireEncodeError(f"sint64 out of range: {value}")
 
     def zero(self) -> int:
         return 0
@@ -147,6 +153,8 @@ class _Enum(FieldType):
             raise WireEncodeError(f"enum field needs a non-negative int, got {value!r}")
         if self.allowed is not None and value not in self.allowed:
             raise WireEncodeError(f"enum value {value} not in {sorted(self.allowed)}")
+        if value > _U64_MASK:
+            raise WireEncodeError(f"varint overflow: {value} >= 2**64")
 
     def zero(self) -> Optional[int]:
         # A restricted enum has no valid zero value: unset means absent
@@ -193,6 +201,8 @@ class _String(FieldType):
     def validate(self, value: Any) -> None:
         if not isinstance(value, str):
             raise WireEncodeError(f"string field needs str, got {value!r}")
+        if not value.isascii():
+            value.encode("utf-8")   # a lone surrogate raises, as encode would
 
     def zero(self) -> str:
         return ""
@@ -222,7 +232,8 @@ class _Submessage(FieldType):
         self.msg_cls = msg_cls
 
     def encode(self, value: Any) -> bytes:
-        return enc.encode_len_prefixed(value.encode())
+        # validate() of the enclosing message has already checked value
+        return enc.encode_len_prefixed(value._encode_fields())
 
     def decode(self, buf: bytes, offset: int) -> tuple["Message", int]:
         raw, pos = enc.decode_len_prefixed(buf, offset)
@@ -232,20 +243,26 @@ class _Submessage(FieldType):
         if not isinstance(value, self.msg_cls):
             raise WireEncodeError(
                 f"submessage field needs {self.msg_cls.__name__}, got {value!r}")
+        value.validate()
 
     def zero(self) -> None:
         return None
 
 
 class _Repeated(FieldType):
-    """Unpacked repeated field: one tagged entry per element."""
+    """Unpacked repeated field: one tagged entry per element.
+
+    ``encode`` and ``decode`` handle one element (the message writes the
+    tags); ``validate`` takes the container and fails on its first bad
+    element.
+    """
 
     def __init__(self, inner: FieldType) -> None:
         self.inner = inner
         self.wire_type = inner.wire_type
         self.repeated = True
 
-    def encode(self, value: Any) -> bytes:  # handled specially in Message
+    def encode(self, value: Any) -> bytes:
         return self.inner.encode(value)
 
     def decode(self, buf: bytes, offset: int) -> tuple[Any, int]:
@@ -316,201 +333,11 @@ class Field:
         return self.ftype.zero()
 
 
-# ---------------------------------------------------------------------------
-# Compiled codec plans
-# ---------------------------------------------------------------------------
-
-def _decode_bool(buf: bytes, offset: int) -> tuple[bool, int]:
-    v, pos = decode_varint(buf, offset)
-    return bool(v), pos
-
-
-def _compile_field(f: Field) -> tuple[Callable, Callable, Callable, Callable]:
-    """Flatten one declared field into
-    ``(encode_into, size_of, decode, validate)``.
-
-    ``encode_into(out, value)`` validates and appends tag + payload to a
-    shared ``bytearray``; ``size_of(value)`` returns the exact encoded
-    byte count without materializing anything larger than a string's
-    UTF-8 form; ``decode(buf, pos)`` is the tightest per-type reader;
-    ``validate(value)`` raises exactly the errors an encode would,
-    without computing sizes (no string encoding needed).  All four are
-    byte/semantics-identical to the per-type :class:`FieldType` methods.
-    """
-    ft = f.ftype
-    inner = ft.inner if isinstance(ft, _Repeated) else ft
-    tag = enc.encode_tag(f.number, ft.wire_type)
-    taglen = len(tag)
-    check = inner.validate
-
-    if isinstance(inner, (_Uint64, _Enum)):
-        def enc_one(out, v, _tag=tag, _check=check):
-            _check(v)
-            if v > _U64_MASK:
-                raise WireEncodeError(f"varint overflow: {v} >= 2**64")
-            out += _tag
-            append_varint(out, int(v))
-
-        def size_one(v, _taglen=taglen, _check=check):
-            _check(v)
-            if v > _U64_MASK:
-                raise WireEncodeError(f"varint overflow: {v} >= 2**64")
-            return _taglen + varint_size(int(v))
-
-        def val_one(v, _check=check):
-            _check(v)
-            if v > _U64_MASK:
-                raise WireEncodeError(f"varint overflow: {v} >= 2**64")
-
-        if isinstance(inner, _Enum) and inner.allowed is not None:
-            dec_one = inner.decode       # enforces the allowed set
-        else:
-            dec_one = decode_varint
-    elif isinstance(inner, _Sint64):
-        def enc_one(out, v, _tag=tag, _check=check):
-            _check(v)
-            if not -(1 << 63) <= v < (1 << 63):
-                raise WireEncodeError(f"sint64 out of range: {v}")
-            out += _tag
-            append_varint(out, ((v << 1) ^ (v >> 63)) & _U64_MASK)
-
-        def size_one(v, _taglen=taglen, _check=check):
-            _check(v)
-            if not -(1 << 63) <= v < (1 << 63):
-                raise WireEncodeError(f"sint64 out of range: {v}")
-            return _taglen + varint_size(((v << 1) ^ (v >> 63)) & _U64_MASK)
-
-        def val_one(v, _check=check):
-            _check(v)
-            if not -(1 << 63) <= v < (1 << 63):
-                raise WireEncodeError(f"sint64 out of range: {v}")
-
-        dec_one = decode_zigzag
-    elif isinstance(inner, _Bool):
-        def enc_one(out, v, _tag=tag, _check=check):
-            _check(v)
-            out += _tag
-            out.append(1 if v else 0)
-
-        def size_one(v, _taglen=taglen, _check=check):
-            _check(v)
-            return _taglen + 1
-
-        val_one = check
-        dec_one = _decode_bool
-    elif isinstance(inner, _Double):
-        def enc_one(out, v, _tag=tag, _check=check):
-            _check(v)
-            out += _tag
-            out += _PACK_D(float(v))
-
-        def size_one(v, _taglen=taglen, _check=check):
-            _check(v)
-            return _taglen + 8
-
-        val_one = check
-        dec_one = enc.decode_double
-    elif isinstance(inner, _String):
-        def enc_one(out, v, _tag=tag, _check=check):
-            _check(v)
-            b = v.encode("utf-8")
-            out += _tag
-            append_varint(out, len(b))
-            out += b
-
-        def size_one(v, _taglen=taglen, _check=check):
-            _check(v)
-            n = len(v) if v.isascii() else len(v.encode("utf-8"))
-            return _taglen + varint_size(n) + n
-
-        def val_one(v, _check=check):
-            _check(v)
-            # Parity for unencodable strings (lone surrogates):
-            # encode_frame raises UnicodeEncodeError at the sender, so
-            # validation must too.  ASCII (the hot path) skips the
-            # encode attempt entirely.
-            if not v.isascii():
-                v.encode("utf-8")
-
-        dec_one = inner.decode           # carries the UTF-8 error wrap
-    elif isinstance(inner, _Bytes):
-        def enc_one(out, v, _tag=tag, _check=check):
-            _check(v)
-            out += _tag
-            append_varint(out, len(v))
-            out += v
-
-        def size_one(v, _taglen=taglen, _check=check):
-            _check(v)
-            n = len(v)
-            return _taglen + varint_size(n) + n
-
-        val_one = check
-        dec_one = enc.decode_len_prefixed
-    elif isinstance(inner, _Submessage):
-        def enc_one(out, v, _tag=tag, _check=check):
-            _check(v)
-            payload = v.encode()
-            out += _tag
-            append_varint(out, len(payload))
-            out += payload
-
-        def size_one(v, _taglen=taglen, _check=check):
-            _check(v)
-            n = v.encoded_size()
-            return _taglen + varint_size(n) + n
-
-        def val_one(v, _check=check):
-            _check(v)
-            v.validate()
-
-        dec_one = inner.decode
-    else:  # custom FieldType subclass: fall back to its own codec
-        def enc_one(out, v, _tag=tag, _ft=inner):
-            _ft.validate(v)
-            out += _tag
-            out += _ft.encode(v)
-
-        def size_one(v, _taglen=taglen, _ft=inner):
-            _ft.validate(v)
-            return _taglen + len(_ft.encode(v))
-
-        val_one = check
-        dec_one = inner.decode
-
-    if not ft.repeated:
-        return enc_one, size_one, dec_one, val_one
-
-    # Like FieldType, a repeated field first checks the container and
-    # every item's type, then range-checks item by item, so a list with
-    # two bad items fails on the same one on every path.
-    check_all = ft.validate
-
-    def enc_rep(out, items, _check_all=check_all, _e=enc_one):
-        _check_all(items)
-        for v in items:
-            _e(out, v)
-
-    def size_rep(items, _check_all=check_all, _s=size_one):
-        _check_all(items)
-        n = 0
-        for v in items:
-            n += _s(v)
-        return n
-
-    def val_rep(items, _check_all=check_all, _v=val_one):
-        _check_all(items)
-        for v in items:
-            _v(v)
-
-    return enc_rep, size_rep, dec_one, val_rep
-
-
 #: Per field type, an exact-type test on ``v`` that proves the field's
-#: checker would accept it.  Whatever the test does not cover (a
+#: ``validate`` would accept it.  Whatever the test does not cover (a
 #: subclass, a bool in an int field, a non-ASCII string, an int in a
-#: double field) goes to the compiled ``val_one``, which raises or not
-#: exactly as an encode would.
+#: double field) goes to that ``validate``, which raises or not exactly
+#: as an encode would.
 _ACCEPT_TESTS = {
     _Uint64: f"v.__class__ is int and 0 <= v <= {_U64_MASK}",
     _Sint64: f"v.__class__ is int and {-(1 << 63)} <= v <= {(1 << 63) - 1}",
@@ -520,7 +347,7 @@ _ACCEPT_TESTS = {
 }
 
 
-def _generate_methods(cls: type, validators: dict[str, Callable]) -> None:
+def _generate_methods(cls: type) -> None:
     """Give ``cls`` its ``__init__(**field_values)`` and ``validate()``.
 
     Every request pays for both, so they are generated once per class
@@ -534,7 +361,7 @@ def _generate_methods(cls: type, validators: dict[str, Callable]) -> None:
     for f in cls.fields:
         name, ftype = f.name, f.ftype
         ns[f"_default_{name}"] = f.initial()
-        ns[f"_val_{name}"] = validators[name]
+        ns[f"_val_{name}"] = ftype.validate
         params.append(f"{name}=_default_{name}")
         # A repeated field's default list only marks "not passed":
         # each instance gets a list of its own.
@@ -555,8 +382,8 @@ def _generate_methods(cls: type, validators: dict[str, Callable]) -> None:
         "                              f'{next(iter(_unknown))!r}')",
         *init,
         "def validate(self):",
-        '    """Raise exactly the error an encode would, without computing',
-        '    sizes or building bytes (recurses into submessages)."""',
+        '    """Raise exactly the error an encode would, without building',
+        '    any bytes (recurses into submessages)."""',
         *val, ""])
     # A file name under this package keeps profilers and tracebacks
     # attributing the generated code to the wire layer.
@@ -588,80 +415,62 @@ class Message(metaclass=MessageMeta):
     """
 
     fields: tuple[Field, ...] = ()
-    #: compiled plans, built once per class by ``__init_subclass__``
-    #: (which also generates the class's ``__init__`` and ``validate``)
-    _enc_plan: tuple = ()
-    _size_plan: tuple = ()
-    _dec_plan: dict = {}
+    #: ``{number: Field}``, the decoder's lookup; set per class by
+    #: ``__init_subclass__`` (which also generates ``__init__`` and
+    #: ``validate``)
+    _by_number: dict = {}
 
     def __init_subclass__(cls, **kw: Any) -> None:
         super().__init_subclass__(**kw)
-        numbers = [f.number for f in cls.fields]
-        if len(set(numbers)) != len(numbers):
+        cls._by_number = {f.number: f for f in cls.fields}
+        if len(cls._by_number) != len(cls.fields):
             raise WireEncodeError(f"{cls.__name__}: duplicate field numbers")
-        enc_plan, size_plan = [], []
-        validators: dict[str, Callable] = {}
-        dec_plan: dict[int, tuple] = {}
-        for f in cls.fields:
-            enc_one, size_one, dec_one, val_one = _compile_field(f)
-            enc_plan.append((f.name, enc_one))
-            size_plan.append((f.name, size_one))
-            validators[f.name] = val_one
-            dec_plan[f.number] = (f.name, f.ftype.wire_type, dec_one,
-                                  f.ftype.repeated)
-        cls._enc_plan = tuple(enc_plan)
-        cls._size_plan = tuple(size_plan)
-        cls._dec_plan = dec_plan
-        _generate_methods(cls, validators)
+        _generate_methods(cls)
 
-    # -- compiled codec -------------------------------------------------
+    # -- codec ------------------------------------------------------------
     def encode(self) -> bytes:
+        self.validate()   # recurses into submessages: one check per value
+        return self._encode_fields()
+
+    def _encode_fields(self) -> bytes:
         out = bytearray()
-        for name, enc_into in self._enc_plan:
-            value = getattr(self, name)
+        for f in self.fields:
+            value = getattr(self, f.name)
             if value is None:
                 continue
-            enc_into(out, value)
+            ftype = f.ftype
+            tag = enc.encode_tag(f.number, ftype.wire_type)
+            for item in (value if ftype.repeated else (value,)):
+                out += tag
+                out += ftype.encode(item)
         return bytes(out)
 
     def encoded_size(self) -> int:
-        """Exact ``len(self.encode())`` without building the bytes."""
-        total = 0
-        for name, size_of in self._size_plan:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            total += size_of(value)
-        return total
+        # kept for tests/test_wire_fuzz.py and tests/test_wire_fastpath.py
+        return len(self.encode())
 
     @classmethod
     def decode(cls, buf: bytes) -> "Message":
         msg = cls()
-        dec = cls._dec_plan
+        by_number = cls._by_number
         pos = 0
         n = len(buf)
         while pos < n:
-            key, pos = decode_varint(buf, pos)
-            number = key >> 3
-            wire_type = key & 0x7
-            if number == 0:
-                raise WireDecodeError("field number 0 is reserved")
-            if wire_type not in _VALID_WIRETYPES:
-                raise WireDecodeError(f"invalid wire type {wire_type}")
-            entry = dec.get(number)
-            if entry is None:
+            number, wire_type, pos = enc.decode_tag(buf, pos)
+            f = by_number.get(number)
+            if f is None:
                 pos = enc.skip_field(buf, pos, wire_type)
                 continue
-            name, declared, dec_one, rep = entry
-            if wire_type != declared:
+            ftype = f.ftype
+            if wire_type != ftype.wire_type:
                 raise WireDecodeError(
-                    f"{cls.__name__}.{name}: wire type {wire_type} "
-                    f"!= declared {declared}")
-            value, pos = dec_one(buf, pos)
-            if rep:
-                getattr(msg, name).append(value)
+                    f"{cls.__name__}.{f.name}: wire type {wire_type} "
+                    f"!= declared {ftype.wire_type}")
+            value, pos = ftype.decode(buf, pos)
+            if ftype.repeated:
+                getattr(msg, f.name).append(value)
             else:
-                setattr(msg, name, value)
+                setattr(msg, f.name, value)
         return msg
 
     # -- conveniences -----------------------------------------------------
@@ -687,4 +496,4 @@ class Message(metaclass=MessageMeta):
         return f"{type(self).__name__}({inner})"
 
 
-_generate_methods(Message, {})   # the fieldless base gets the same pair
+_generate_methods(Message)   # the fieldless base gets the same pair

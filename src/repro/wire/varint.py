@@ -9,29 +9,11 @@ from __future__ import annotations
 
 from repro.errors import WireDecodeError, WireEncodeError
 
-__all__ = ["encode_varint", "decode_varint", "encode_zigzag", "decode_zigzag",
-           "varint_size", "append_varint"]
+__all__ = ["encode_varint", "decode_varint", "encode_zigzag", "decode_zigzag"]
 
 #: Protobuf varints carry at most 64 significant bits -> 10 bytes.
 _MAX_VARINT_BYTES = 10
 _U64_MASK = (1 << 64) - 1
-
-
-def varint_size(value: int) -> int:
-    """Exact encoded length of a non-negative varint, without encoding."""
-    return (value.bit_length() + 6) // 7 if value else 1
-
-
-def append_varint(out: bytearray, value: int) -> None:
-    """Append the LEB128 encoding of a validated non-negative int.
-
-    The hot-path primitive behind the compiled codecs: no bytes object
-    is created, the digits land directly in the caller's buffer.
-    """
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
 
 
 def encode_varint(value: int) -> bytes:

@@ -185,10 +185,6 @@ class CheckpointStore:
             self.stages_cleaned += 1
         return removed
 
-    def has_artifacts(self, key: str) -> bool:
-        return self.is_complete(key) or self.ns.exists(
-            self.epoch_marker(key, 0))
-
     # -- reporting --------------------------------------------------------
     def rows(self) -> List[tuple]:
         """(metric, value) rows for the report's checkpoint table."""

@@ -26,6 +26,7 @@ gate compare against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
@@ -65,8 +66,9 @@ class PipelineConfig:
     pfs_nsid: str = "lustre://"
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval < 0 or self.checkpoint_bytes < 0:
-            raise ReproError("checkpoint knobs must be non-negative")
+        if not (0 <= self.checkpoint_interval < math.inf
+                and self.checkpoint_bytes >= 0):
+            raise ReproError("checkpoint knobs must be finite and >= 0")
         if self.max_rounds < 1:
             raise ReproError("max_rounds must be at least 1")
 

@@ -9,6 +9,7 @@ artifacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -36,8 +37,9 @@ class StageSpec:
     def __post_init__(self) -> None:
         if not self.name or "/" in self.name:
             raise ReproError(f"bad stage name {self.name!r}")
-        if self.runtime <= 0:
-            raise ReproError(f"stage {self.name}: runtime must be positive")
+        if not 0 < self.runtime < math.inf:
+            raise ReproError(
+                f"stage {self.name}: runtime must be positive and finite")
         if self.nodes < 1 or self.out_files < 1 or self.out_bytes < 0:
             raise ReproError(f"stage {self.name}: bad shape")
 
@@ -89,20 +91,6 @@ class PipelineSpec:
                 done.add(s.name)
             remaining = [s for s in remaining if s.name not in done]
         return out
-
-    def downstream_of(self, name: str) -> List[str]:
-        """Names of every stage (transitively) depending on ``name``."""
-        out: set = set()
-        changed = True
-        while changed:
-            changed = False
-            for s in self.stages:
-                if s.name in out:
-                    continue
-                if any(d == name or d in out for d in s.deps):
-                    out.add(s.name)
-                    changed = True
-        return sorted(out)
 
     @property
     def n_stages(self) -> int:

@@ -60,11 +60,6 @@ class OpenFoamConfig:
             raise SlurmError("solver needs nodes and timesteps")
 
     @property
-    def total_output_bytes(self) -> int:
-        return (self.solver_nodes * self.timesteps
-                * self.output_per_node_per_timestep)
-
-    @property
     def partition_bytes(self) -> int:
         return self.mesh_bytes // self.solver_nodes
 

@@ -14,6 +14,7 @@ from typing import Dict, Optional
 
 import pytest
 
+from repro.errors import NoSuchFile
 from repro.net import Credentials, Fabric, LocalSocketHub, MercuryNetwork
 from repro.norns import (
     LocalBackend, NornsClient, NornsCtlClient, SharedBackend, UrdConfig,
@@ -24,6 +25,7 @@ from repro.sim import Simulator
 from repro.storage import (
     BlockDevice, Mount, ParallelFileSystem, PfsConfig, PROFILES,
 )
+from repro.storage.filesystem import normalize
 from repro.util import GB, GiB, TB
 
 @pytest.fixture
@@ -176,3 +178,108 @@ def stage_in_through_urd_restart():
                                  "nvme0://in/", "single"),)))
     handle.sim.run(job.done)
     return handle, job
+
+
+# -- views only tests ask for ------------------------------------------------
+# Each derives from an object's state a value no code outside the tests
+# reads; public state where there is some, else the attribute the
+# product keeps (flow engine, resources, namespace and PFS layouts).
+
+def active_flows(constraint) -> int:
+    """Flows currently crossing a ``CapacityConstraint``."""
+    return len(constraint._flows)
+
+
+def component_count(fs) -> int:
+    """Live contention components of a ``FlowScheduler``."""
+    return len(fs._comps)
+
+
+def resource_in_use(res) -> int:
+    """Units of a ``Resource`` currently granted."""
+    return res._in_use
+
+
+def resource_queue_len(res) -> int:
+    """Requests of a ``Resource`` still waiting (cancelled ones out)."""
+    return len(res._waiters) - res._cancelled
+
+
+def job_of_pid(controller, pid: int):
+    """The job a process is registered under on an urd, or None.
+
+    Reads the pid map that ``validate_task`` and ``visible_dataspaces``
+    consult, so a pid the controller forgot to drop shows here.
+    """
+    return controller._pid_to_job.get(pid)
+
+
+def total_bytes_staged(accounting) -> int:
+    """Bytes staged in plus out over every accounting record."""
+    return sum(r.bytes_staged_in + r.bytes_staged_out
+               for r in accounting.records())
+
+
+def dependencies_of(workflow, job_id: int) -> frozenset:
+    """Ids of a workflow job's direct prerequisites."""
+    return frozenset(j.job_id for j in workflow.producers_of(job_id))
+
+
+def stripe_osts(pfs, path: str) -> tuple:
+    """OST indices a PFS file is striped over (after first access)."""
+    layout = pfs._layouts.get(normalize(path))
+    if layout is None:
+        raise NoSuchFile(f"no layout for {path!r}")
+    return layout.osts
+
+
+def remove_tree(mount, path: str) -> int:
+    """Recursive directory removal on a ``Mount``; bytes released."""
+    released = mount.ns.rmdir(path, recursive=True)
+    mount.device.release(released)
+    return released
+
+
+def listdir(ns, path: str = "/") -> list:
+    """Entry names of a ``Namespace`` directory, sorted."""
+    return sorted(ns._resolve_dir(path).entries)
+
+
+def workflow_fraction(trace) -> float:
+    """Share of a trace's jobs that belong to a workflow."""
+    if not trace.jobs:
+        return 0.0
+    return sum(1 for j in trace.jobs if j.in_workflow) / len(trace.jobs)
+
+
+def issuperset(nodeset, items) -> bool:
+    """Whether an ``OrderedNodeSet`` holds every one of ``items``."""
+    return set(items) <= nodeset.as_set()
+
+
+def has_artifacts(store, key: str) -> bool:
+    """Whether a ``CheckpointStore`` holds anything of a stage."""
+    return store.is_complete(key) or store.ns.exists(
+        store.epoch_marker(key, 0))
+
+
+def downstream_of(pipeline, name: str) -> list:
+    """Names of every stage (transitively) depending on ``name``."""
+    out: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for s in pipeline.stages:
+            if s.name not in out and any(d == name or d in out
+                                         for d in s.deps):
+                out.add(s.name)
+                changed = True
+    return sorted(out)
+
+
+def dataspace_ids(spec) -> tuple:
+    """Dataspace ids a ``ClusterSpec`` registers on every node."""
+    ids = [d.dataspace_id for d in spec.nodes.devices]
+    if spec.pfs is not None:
+        ids.append(spec.pfs_nsid)
+    return tuple(ids)

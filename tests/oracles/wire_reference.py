@@ -3,12 +3,14 @@
 
 Test fixture only (oracles live under ``tests/``).
 
-* :func:`encode_oracle` / :func:`decode_oracle` — the original codec:
-  per-field :class:`~repro.wire.messages.FieldType` virtual dispatch
-  instead of the compiled per-class plan.  Submessages recurse through
-  the oracle too, so a compiled-codec bug in a submessage-only type is
-  never compared against itself.  ``tests/test_wire_fuzz.py`` holds the
-  compiled plan byte-identical to it, and to its errors.
+* :func:`encode_oracle` / :func:`decode_oracle` — a message-level
+  walk of its own over the per-field
+  :class:`~repro.wire.messages.FieldType` methods (field by field:
+  validate, then tag and payload).  Submessages recurse through the
+  oracle too, so a message-walk bug in a submessage-only type is never
+  compared against itself.  ``tests/test_wire_fuzz.py`` holds
+  ``Message.encode``/``decode`` byte-identical to it, and to its
+  errors.
 * :func:`bytes_frames` — every hop moves real bytes: inside the block,
   ``make_frame`` is :func:`~repro.wire.registry.encode_frame` in each
   module that frames messages, where

@@ -8,6 +8,7 @@ from repro.cluster import (
 )
 from repro.errors import SimError
 from repro.util import GB, TB
+from tests.conftest import dataspace_ids
 
 
 class TestSpecs:
@@ -32,8 +33,8 @@ class TestSpecs:
 
     def test_dataspace_ids(self):
         spec = nextgenio(n_nodes=2)
-        assert set(spec.dataspace_ids()) == {"nvme0://", "tmp0://",
-                                             "lustre://"}
+        assert set(dataspace_ids(spec)) == {"nvme0://", "tmp0://",
+                                            "lustre://"}
 
     def test_archer_has_no_node_local_storage(self):
         spec = archer_like(4)

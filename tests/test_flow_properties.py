@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sim import CapacityConstraint, FlowScheduler, Simulator
 from tests.oracles.flows_reference import max_min_rates
 from repro.sim.flows import Flow
+from tests.conftest import active_flows
 
 
 def make_flows(sim, specs, constraints):
@@ -126,4 +127,4 @@ class TestAllocationProperties:
         sim.run()
         assert fs.bytes_moved == pytest.approx(sum(sizes), rel=1e-9)
         assert fs.completed == len(sizes)
-        assert link.active_flows == 0
+        assert active_flows(link) == 0

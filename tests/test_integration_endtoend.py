@@ -7,6 +7,7 @@ from repro.cluster import build, nextgenio, small_test
 from repro.slurm import JobState, WorkflowStatus
 from repro.slurm.job import JobSpec, PersistDirective, StageDirective
 from repro.util import GB, MB
+from tests.conftest import total_bytes_staged
 
 
 BATCH_SCRIPT_PHASE1 = """#!/bin/bash
@@ -151,7 +152,7 @@ class TestConcurrentWorkflows:
         assert rec.bytes_staged_out == 1 * GB
         assert rec.state == "completed"
         assert rec.wait_seconds is not None
-        assert ctld.accounting.total_bytes_staged() == 1 * GB
+        assert total_bytes_staged(ctld.accounting) == 1 * GB
 
 
 class TestUserTasksInsideJobs:

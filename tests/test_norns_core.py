@@ -18,6 +18,7 @@ from repro.sim import Simulator
 from repro.storage import BlockDevice, Mount, PROFILES
 from repro.sim.flows import FlowScheduler
 from repro.util import GB
+from tests.conftest import job_of_pid
 
 
 @pytest.fixture
@@ -260,9 +261,9 @@ class TestController:
         c = Controller()
         c.register_job(7, hosts=("node0",), nsids=("nvme0://",))
         c.add_process(7, pid=100, uid=1000, gid=100)
-        assert c.job_of_pid(100) == 7
+        assert job_of_pid(c, 100) == 7
         c.remove_process(7, 100)
-        assert c.job_of_pid(100) is None
+        assert job_of_pid(c, 100) is None
         c.unregister_job(7)
         with pytest.raises(NornsJobNotFound):
             c.job(7)
@@ -272,7 +273,7 @@ class TestController:
         c.register_job(7, hosts=(), nsids=())
         c.add_process(7, 100, 0, 0)
         c.unregister_job(7)
-        assert c.job_of_pid(100) is None
+        assert job_of_pid(c, 100) is None
 
     def test_validate_rejects_unregistered_pid(self, sim):
         c = Controller()

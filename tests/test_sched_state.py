@@ -9,6 +9,7 @@ from repro.slurm.policies import SchedulerState
 from repro.slurm.scheduler import PriorityCalculator
 from repro.slurm.workflow import WorkflowManager
 from repro.util.ordered_set import OrderedNodeSet
+from tests.conftest import issuperset
 
 
 def job(name="j", nodes=1, submit=0.0, prio=0.0, limit=100.0, **kw):
@@ -54,8 +55,8 @@ class TestOrderedNodeSet:
         s.discard_many(["n0", "n2"])
         s.update(["n4", "n3"])
         assert s.sorted() == ["n1", "n3", "n4"]
-        assert s.issuperset(["n1", "n4"])
-        assert not s.issuperset(["n0"])
+        assert issuperset(s, ["n1", "n4"])
+        assert not issuperset(s, ["n0"])
         assert s.as_set() == {"n1", "n3", "n4"}
 
 

@@ -12,6 +12,7 @@ from repro.errors import SimError
 from repro.obs.trace import attach_tracer
 from repro.sim import CapacityConstraint, FlowScheduler, Simulator
 from tests.oracles.flows_reference import ReferenceFlowScheduler
+from tests.conftest import active_flows
 
 
 @pytest.fixture
@@ -220,7 +221,7 @@ class TestSetCapacity:
         link = CapacityConstraint("link", 100.0)
         sim.run(fs.transfer(100.0, [link]))     # attached, then idle again
         fs.set_capacity(link, 25.0)
-        assert link.capacity == 25.0 and link.active_flows == 0
+        assert link.capacity == 25.0 and active_flows(link) == 0
         start = sim.now
         sim.run(fs.transfer(100.0, [link]))
         assert sim.now - start == pytest.approx(4.0)
@@ -269,7 +270,7 @@ class TestAccounting:
         fs.transfer(1000.0, [link])
         fs.transfer(1000.0, [link])
         sim.run(until=1.0)
-        assert link.active_flows == 2
+        assert active_flows(link) == 2
         assert link.load == pytest.approx(100.0)
         assert link.utilization == pytest.approx(1.0)
         sim.run()

@@ -6,6 +6,7 @@ from hypothesis import strategies as hst
 
 from repro.errors import SimError
 from repro.sim import Resource, Simulator, Store
+from tests.conftest import resource_in_use, resource_queue_len
 
 
 @pytest.fixture
@@ -19,7 +20,7 @@ class TestResource:
         r1, r2, r3 = res.request(), res.request(), res.request()
         sim.run(until=0)
         assert r1.triggered and r2.triggered and not r3.triggered
-        assert res.in_use == 2 and res.queue_len == 1
+        assert resource_in_use(res) == 2 and resource_queue_len(res) == 1
 
     def test_release_wakes_fifo_waiter(self, sim):
         res = Resource(sim, capacity=1)
@@ -54,7 +55,7 @@ class TestResource:
         sim.run(until=0)
         res.cancel(second)
         res.release()
-        assert res.in_use == 0
+        assert resource_in_use(res) == 0
         assert first.triggered
 
 

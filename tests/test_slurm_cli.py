@@ -318,6 +318,31 @@ class TestErrorBoundary:
         err = self.failing(["faults", "--show", str(plan)], capsys)
         assert "line 1" in err and key in err
 
+    SYNTH = REPLAY + ["--synth", "10"]
+
+    @pytest.mark.parametrize("argv, name", [
+        # zero compression once divided for the fault horizon
+        (SYNTH + ["--compression", "0"], "time_compression"),
+        (SYNTH + ["--compression", "nan"], "time_compression"),
+        (SYNTH + ["--compression", "inf"], "time_compression"),
+        (SYNTH + ["--stage-bytes", "0"], "stage-bytes"),
+        (SYNTH + ["--stage-bytes", "-1"], "stage-bytes"),
+        (SYNTH + ["--stage-bytes", "nan"], "stage-bytes"),
+        (SYNTH + ["--interarrival", "nan"], "interarrival"),
+        (SYNTH + ["--interarrival", "inf"], "interarrival"),
+        (SYNTH + ["--batch-window", "nan"], "batch_window"),
+        (SYNTH + ["--runtime-scale", "nan"], "runtime_scale"),
+        (SYNTH + ["--checkpoint-interval", "nan"], "checkpoint"),
+        (["faults", "--emit", "chaos", "--horizon", "nan"], "horizon"),
+        (["faults", "--emit", "chaos", "--horizon", "inf"], "horizon"),
+        (["workflows", "--runtime", "nan"], "runtime"),
+        (["workflows", "--checkpoint-interval", "nan"], "checkpoint"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_bad_numeric_option(self, argv, name, capsys):
+        """Zero, negative and non-finite numbers are rejected before
+        anything runs, by the config that owns the value."""
+        assert name in self.failing(argv, capsys)
+
     def test_bad_sbatch_priority(self, tmp_path, capsys):
         script = tmp_path / "job.sbatch"
         script.write_text("#SBATCH --nodes=1\n#SBATCH --priority=abc\n")

@@ -7,6 +7,7 @@ from repro.sim import FlowScheduler, Simulator, CapacityConstraint
 from repro.storage import BlockDevice, Mount, PROFILES
 from repro.storage.device import DeviceProfile
 from repro.util import GB, GiB, MB
+from tests.conftest import remove_tree
 
 
 @pytest.fixture
@@ -119,7 +120,7 @@ class TestMount:
         m = Mount(sim, make_device(sim, flows))
         sim.run(m.write_file("/d/a", 100))
         sim.run(m.write_file("/d/b", 200))
-        assert m.remove_tree("/d") == 300
+        assert remove_tree(m, "/d") == 300
         assert m.used_bytes() == 0
 
     def test_file_invisible_until_write_completes(self, sim, flows):

@@ -8,6 +8,7 @@ from repro.errors import (
 )
 from repro.storage import FileContent, Namespace
 from repro.storage.filesystem import normalize
+from tests.conftest import listdir
 
 
 @pytest.fixture
@@ -92,7 +93,7 @@ class TestNamespaceBasics:
     def test_mkdir_and_listdir(self, ns):
         ns.mkdir("/a/b/c")
         ns.create("/a/b/f.dat", fc())
-        assert ns.listdir("/a/b") == ["c", "f.dat"]
+        assert listdir(ns, "/a/b") == ["c", "f.dat"]
         assert ns.is_dir("/a/b/c")
 
     def test_mkdir_over_file_raises(self, ns):

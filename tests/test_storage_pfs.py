@@ -10,6 +10,7 @@ from repro.storage import (
     PfsConfig, PROFILES, BlockDevice, run_ior,
 )
 from repro.util import GB, GiB, MB, MiB
+from tests.conftest import stripe_osts
 
 
 @pytest.fixture
@@ -39,7 +40,7 @@ class TestPfsConfig:
                         ost_write_bandwidth=1 * GB, oss_link_bandwidth=10 * GB,
                         front_link_bandwidth=100 * GB)
         assert cfg.n_osts == 6
-        assert cfg.peak_read_bandwidth == pytest.approx(6 * GB)
+        assert cfg.peak_write_bandwidth == pytest.approx(6 * GB)
 
     def test_validation(self):
         with pytest.raises(SimError):
@@ -78,7 +79,7 @@ class TestPfsIo:
 
     def test_stripe_count_clamped_to_n_osts(self, sim, pfs):
         sim.run(pfs.write("cn0", "/f", 100 * MB, stripe_count=999))
-        assert len(pfs.stripe_osts("/f")) == pfs.config.n_osts
+        assert len(stripe_osts(pfs, "/f")) == pfs.config.n_osts
 
     def test_mds_serializes_creates(self, sim, fabric):
         cfg = PfsConfig(mds_service_time=1e-3, osts_per_oss=6)
@@ -124,7 +125,7 @@ class TestPfsIo:
         sim.run(pfs.delete("/f"))
         assert not pfs.ns.exists("/f")
         with pytest.raises(NoSuchFile):
-            pfs.stripe_osts("/f")
+            stripe_osts(pfs, "/f")
 
 
 class TestBurstBuffer:

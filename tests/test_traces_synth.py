@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ReproError
 from repro.traces import SynthesisConfig, synthesize
 from repro.util.units import GB
+from tests.conftest import workflow_fraction
 
 
 class TestDeterminism:
@@ -85,7 +86,7 @@ class TestStagingMix:
         t = synthesize(SynthesisConfig(n_jobs=200, staged_fraction=0.0),
                        seed=1)
         assert t.staged_fraction == 0.0
-        assert t.workflow_fraction == 0.0
+        assert workflow_fraction(t) == 0.0
 
     def test_workflow_structure_valid(self):
         cfg = SynthesisConfig(n_jobs=400, staged_fraction=0.4,

@@ -17,6 +17,7 @@ from functools import partial
 import pytest
 
 import repro.norns.urd
+import test_policy_replay as policy_replay
 from repro.errors import UnknownMessageError, WireEncodeError, WireError
 from repro.net.sockets import Credentials, LocalSocketHub
 from repro.norns import NornsClient, TaskType
@@ -24,14 +25,17 @@ from repro.norns.resources import memory_region, posix_path
 from repro.norns.urd import GID_NORNS_USER, UrdConfig, UrdDaemon
 from repro.sim.core import Simulator
 from repro.wire import (
-    MessageRegistry, WireFrame, encode_frame, make_frame, open_frame,
+    Message, MessageRegistry, WireFrame, encode_frame, make_frame,
+    open_frame,
 )
 from repro.wire import norns_proto as proto
+from test_hop_budget import mercury_poller, unix_poller
 from tests.oracles.wire_reference import (
     FRAME_BUILDERS, bytes_frames, encode_oracle,
 )
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
+DATA = pathlib.Path(__file__).parent / "data"
 #: the sender-side builders: real bytes, and the lazy frame
 BUILDERS = (encode_frame, make_frame)
 
@@ -200,6 +204,26 @@ class TestWireFrame:
         assert WireFrame(proto.NORNS_PROTOCOL, ok).materialize() \
             == encode_frame(proto.NORNS_PROTOCOL, ok)
 
+    def test_repeated_field_fails_on_its_first_bad_item(self):
+        # Every entry point runs the field types' own validate, which
+        # walks a repeated field's items in order: the lone surrogate
+        # fails before the int behind it is looked at, and the other
+        # way round the int fails first.
+        def entries(msg):
+            return (msg.validate, msg.encode, msg.encoded_size,
+                    partial(make_frame, proto.NORNS_PROTOCOL, msg),
+                    partial(encode_frame, proto.NORNS_PROTOCOL, msg))
+
+        for entry in entries(proto.RegisterJobRequest(
+                limits=proto.JobLimits(nsids=["\ud800", 1]))):
+            with pytest.raises(UnicodeEncodeError):
+                entry()
+        for entry in entries(proto.RegisterJobRequest(
+                limits=proto.JobLimits(nsids=[1, "\ud800"]))):
+            with pytest.raises(WireEncodeError,
+                               match="string field needs str, got 1"):
+                entry()
+
     def test_message_instances_are_slotted(self):
         msg = proto.CommandRequest(command="x")
         assert not hasattr(msg, "__dict__")
@@ -245,3 +269,42 @@ class TestCrossModeEquivalence:
         assert fast[0]["ping"] == "pong"
         assert fast[0]["submit_error"] == "NornsDataspaceNotFound"
 
+
+
+@pytest.fixture
+def codec_calls(monkeypatch):
+    """Make the codec's entry points raise.  The list records every
+    call, so one whose error a simulated process swallows still fails
+    the test."""
+    calls = []
+
+    def forbidden(name):
+        def entry(*_args, **_kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran on the simulated path")
+        return entry
+
+    monkeypatch.setattr(Message, "encode", forbidden("Message.encode"))
+    monkeypatch.setattr(Message, "decode",
+                        classmethod(forbidden("Message.decode")))
+    monkeypatch.setattr(WireFrame, "materialize",
+                        forbidden("WireFrame.materialize"))
+    return calls
+
+
+class TestNoCodecOnTheSimulatedPath:
+    """Lazy frames carry the message object: no simulated hop encodes,
+    decodes or materializes anything."""
+
+    def test_golden_replay(self, codec_calls):
+        report = policy_replay.replay(policy_replay.golden_trace())
+        assert report.to_text() == \
+            (DATA / "replay_golden_default.txt").read_text()
+        assert codec_calls == []
+
+    @pytest.mark.parametrize("poller", [unix_poller, mercury_poller],
+                             ids=["af_unix", "mercury"])
+    def test_submit_and_one_status_poll(self, poller, codec_calls):
+        sim, poll = poller(1)       # the submit runs in here
+        sim.run(sim.process(poll()))
+        assert codec_calls == []

@@ -1,7 +1,10 @@
 """Fuzz/property tests on the wire layer: arbitrary bytes never crash
 the decoder with anything other than a WireError family exception, and
-the compiled codec plans stay byte-identical to the interpretive
-oracle (``tests/oracles/wire_reference.py``) on arbitrary messages."""
+the codec stays byte-identical to the oracle's message-level walk
+(``tests/oracles/wire_reference.py``) on arbitrary messages.  Both
+dispatch through the same ``FieldType`` methods, so the parity checks
+the message-level walk; the round trips and the error checks hold the
+field types themselves."""
 
 from functools import partial
 

@@ -12,6 +12,7 @@ from repro.workflows import (
     CheckpointStore, PipelineSpec, StageSpec, deep_chain, diamond,
     epoch_plan,
 )
+from tests.conftest import dependencies_of, downstream_of, has_artifacts
 
 
 class TestEpochPlan:
@@ -85,7 +86,7 @@ class TestCheckpointStore:
         store.mark_complete("p/b", ("x",))
         assert store.clear_partial("p/a") is True
         assert store.clear_partial("p/b") is False
-        assert not store.has_artifacts("p/a")
+        assert not has_artifacts(store, "p/a")
         assert store.is_complete("p/b")
         assert store.stages_cleaned == 1
 
@@ -127,7 +128,7 @@ class TestPipelineSpec:
         assert pipe.n_stages == 6
         merge = pipe.stage("merge")
         assert set(merge.deps) == {"filter_a", "filter_b"}
-        assert set(pipe.downstream_of("merge")) == {"analyze", "publish"}
+        assert set(downstream_of(pipe, "merge")) == {"analyze", "publish"}
 
     def test_deep_chain_shape(self):
         pipe = deep_chain(5)
@@ -152,7 +153,7 @@ class TestWorkflowFanIn:
         c = _job(3)
         wf.add_job(b, prior=1)
         wf.add_job(c, prior=[1, 2])
-        assert wf.dependencies_of(3) == frozenset({1, 2})
+        assert dependencies_of(wf, 3) == frozenset({1, 2})
         assert [j.job_id for j in wf.producers_of(3)] == [1, 2]
 
     def test_readding_with_cycle_rejected(self):
@@ -180,7 +181,7 @@ class TestWorkflowFanIn:
         mgr.place_job(_job(2, workflow_prior_dependency=1))
         joined = mgr.place_job(_job(3, workflow_dependencies=(1, 2)))
         assert joined is wf
-        assert wf.dependencies_of(3) == frozenset({1, 2})
+        assert dependencies_of(wf, 3) == frozenset({1, 2})
 
     def test_fan_in_across_workflows_rejected(self):
         mgr = WorkflowManager()
@@ -194,6 +195,6 @@ class TestWorkflowFanIn:
         wf = mgr.place_job(_job(1, workflow_start=True))
         joined = mgr.place_job(_job(2, workflow_join=1))
         assert joined is wf
-        assert wf.dependencies_of(2) == frozenset()
+        assert dependencies_of(wf, 2) == frozenset()
         with pytest.raises(InvalidDependency):
             mgr.place_job(_job(3, workflow_join=99))

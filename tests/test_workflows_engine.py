@@ -14,6 +14,7 @@ from repro.traces.records import STATUS_COMPLETED
 from repro.workflows import (
     PipelineConfig, PipelineEngine, deep_chain, diamond,
 )
+from tests.conftest import downstream_of
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data",
                       "workflow_replay_golden.txt")
@@ -175,7 +176,7 @@ class TestTerminalFailure:
         assert len(failed) == 1
         cancelled = sorted(s for s, o in first.outcomes.items()
                            if o == "cancelled")
-        assert cancelled == engine.pipeline.downstream_of(failed[0])
+        assert cancelled == downstream_of(engine.pipeline, failed[0])
         # Round 2 is exactly the lost frontier, in topo order, and the
         # stages that completed in round 1 were never resubmitted.
         assert second.submitted == sorted(
